@@ -7,8 +7,8 @@ open Structs
 let search_from_hint_bad (hint : Lnode.t option ref)
     (head : Lnode.t option Tm.tvar) k =
   let start = ref None in
-  Tm.atomic (fun txn -> start := Tm.read txn head);
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture" (fun txn -> start := Tm.read txn head);
+  Tm.atomic ~site:"fixture" (fun txn ->
       let n =
         match !start with
         | Some n -> n

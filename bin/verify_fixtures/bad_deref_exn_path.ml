@@ -10,8 +10,8 @@ let find_or_fail (ops : Lnode.t Rr.ops) txn n =
 
 let bad_deref_exn_path (t : Lnode.t option Tm.tvar) (ops : Lnode.t Rr.ops) =
   let cur = ref None in
-  Tm.atomic (fun txn -> cur := Tm.read txn t);
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture" (fun txn -> cur := Tm.read txn t);
+  Tm.atomic ~site:"fixture" (fun txn ->
       match !cur with
       | None -> 0
       | Some n -> (

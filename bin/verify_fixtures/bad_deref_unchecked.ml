@@ -5,9 +5,9 @@ open Structs
 
 let bad_deref_unchecked (t : Lnode.t option Tm.tvar) =
   let cur = ref None in
-  Tm.atomic (fun txn -> cur := Tm.read txn t);
+  Tm.atomic ~site:"fixture" (fun txn -> cur := Tm.read txn t);
   (* new window: [!cur] is a carried pointer, never re-checked *)
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture" (fun txn ->
       match !cur with
       | None -> 0
       | Some n -> Tm.read txn n.Lnode.key)

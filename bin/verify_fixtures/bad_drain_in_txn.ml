@@ -4,7 +4,7 @@ open Structs
    quiescence, never inside a window. *)
 
 let bad_drain_in_txn (pool : Lnode.t Mempool.t) (t : int Tm.tvar) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture" (fun txn ->
       let v = Tm.read txn t in
       Mempool.drain_magazines pool ~thread:0;
       v)

@@ -5,7 +5,7 @@ open Structs
 
 let bad_resv_leak_return (t : Lnode.t option Tm.tvar) (ops : Lnode.t Rr.ops)
     k =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture" (fun txn ->
       match Tm.read txn t with
       | None -> false
       | Some n ->

@@ -7,7 +7,7 @@ open Structs
 
 let remove_bad (pool : Lnode.t Mempool.t) (head : Lnode.t option Tm.tvar)
     k =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture" (fun txn ->
       match Tm.read txn head with
       | None -> false
       | Some curr ->

@@ -214,13 +214,19 @@ let projected_lag_ns t ~shard =
    distributions, and the p99 the SLO constrains sits well above the
    middle — shedding at the full budget lands the served tail just past
    it, shedding at half leaves room for the spikes (OS preemption, a
-   2PC multi freezing the shard) the controller cannot see coming. *)
+   2PC multi freezing the shard) the controller cannot see coming.
+
+   The projection only counts while the shard has queued work. Its
+   service-time estimate decays only on a drain, so after a spike an
+   empty queue would shed every [Low] arrival for good and never drain
+   again; admitting into an empty queue lets that drain refresh it. *)
 let overloaded t ~shard =
   match t.slo_ns with
   | None -> false
   | Some slo ->
       let budget = slo / 2 in
-      projected_lag_ns t ~shard > budget || Atomic.get t.lag_ns > budget
+      (Atomic.get t.qs.(shard).depth > 0 && projected_lag_ns t ~shard > budget)
+      || Atomic.get t.lag_ns > budget
 
 (* ---- submission ---- *)
 

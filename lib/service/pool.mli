@@ -74,9 +74,9 @@ val note_lag : t -> int -> unit
 
 val overloaded : t -> shard:int -> bool
 (** Would a [Low] arrival for [shard] be shed right now? True when
-    either the queue projection or the lag EWMA exceeds half the SLO —
-    the half is tail headroom: both signals track means, the SLO
-    constrains a p99. *)
+    either the queue projection (counted only while the shard has queued
+    requests) or the lag EWMA exceeds half the SLO — the half is tail
+    headroom: both signals track means, the SLO constrains a p99. *)
 
 val projected_lag_ns : t -> shard:int -> int
 (** (depth + 1) x decaying-max per-request service time. *)

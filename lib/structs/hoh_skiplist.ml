@@ -36,7 +36,8 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
 
 let name t = t.mode.Mode.name ^ "-skip"
 
-(* Geometric tower heights (p = 1/2), per-thread generators. *)
+(* Geometric tower heights (p = 1/2) in [1, Snode.max_level], per-thread
+   generators. *)
 let random_level t ~thread =
   let s = t.seeds.(thread) in
   let s = s lxor (s lsl 13) in
@@ -47,7 +48,7 @@ let random_level t ~thread =
     if lvl >= Snode.max_level || bits land 1 = 0 then lvl
     else go (lvl + 1) (bits lsr 1)
   in
-  1 + go 0 (s land max_int)
+  go 1 (s land max_int)
 
 exception Stale_hint
 

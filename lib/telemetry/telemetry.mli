@@ -49,4 +49,6 @@ val reset_slots : unit -> unit
 (** Start a fresh measurement window. Call while workers are quiescent. *)
 
 val now_ns : unit -> int
-(** Wall-clock nanoseconds (microsecond-granular underneath). *)
+(** Monotonic nanoseconds since an arbitrary epoch (boot): a
+    [CLOCK_MONOTONIC] stub, so it never steps under NTP. Use differences
+    only. *)

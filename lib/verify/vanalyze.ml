@@ -48,13 +48,47 @@ let strip_prefix s =
   let k = last_sep 0 0 in
   if k > 0 && k < n then String.sub s k (n - k) else s
 
+(* Module aliases of the file under analysis ([module P = Mempool],
+   [let module T = Tm in ...]), keyed by the alias's own [Ident.t]: an
+   ident is unique within its compilation unit, so shadowing and scoping
+   are exact. Refilled per file by [collect_aliases]. *)
+let aliases : Path.t Ident.Tbl.t = Ident.Tbl.create 16
+
+let collect_aliases (str : structure) =
+  Ident.Tbl.reset aliases;
+  let note id (me : module_expr) =
+    match (id, me.mod_desc) with
+    | Some id, Tmod_ident (p, _) -> Ident.Tbl.replace aliases id p
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          note mb.mb_id mb.mb_expr;
+          Tast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_letmodule (id, _, _, me, _) -> note id me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str
+
 let rec path_parts = function
-  | Path.Pident id -> [ strip_prefix (Ident.name id) ]
+  | Path.Pident id -> (
+      match Ident.Tbl.find_opt aliases id with
+      | Some p -> path_parts p
+      | None -> [ strip_prefix (Ident.name id) ])
   | Path.Pdot (p, s) -> path_parts p @ [ strip_prefix s ]
   | Path.Papply (f, _) -> path_parts f
   | Path.Pextra_ty (p, _) -> path_parts p
 
-(* (parent module, name): [Rr.Hoh.apply] -> ("Hoh", "apply"). *)
+(* (parent module, name), through module aliases: [Rr.Hoh.apply] ->
+   ("Hoh", "apply"), and so does [H.apply] under [module H = Rr.Hoh]. *)
 let path_key p =
   match List.rev (path_parts p) with
   | name :: parent :: _ -> (parent, name)
@@ -952,12 +986,22 @@ and apply_mode_op ctx env e op args =
       (set_node_state env a Freed, Aother)
   | _ -> (env, Aother)
 
+and eager_free ctx = (not ctx.free_ok) && not ctx.no_txn
+
+(* HV006 holds whatever the freed value's type: a pool generic over its
+   node type (Mode, the reclaimers) frees eagerly just the same. Outside
+   a transaction the free is the caller's hazard: it is recorded in the
+   summary and reported at any call site inside a transaction. *)
+and non_deferred_free ctx ~loc =
+  if eager_free ctx then
+    if ctx.in_txn then
+      report ctx ~loc ~rule:"non-deferred-free"
+        "Mempool.free inside a transaction without Tm.defer / a ~free \
+         closure: the free races the window's revoke"
+    else ctx.summary.Vsummary.frees_eagerly <- true
+
 and free_checks ctx env ~loc (a : expression) v =
   on_param ctx (prov_of_aval v) (fun pt -> pt.frees <- true);
-  if ctx.in_txn && (not ctx.free_ok) && not ctx.no_txn then
-    report ctx ~loc ~rule:"non-deferred-free"
-      "Mempool.free inside a transaction without Tm.defer / a ~free \
-       closure: the free races the window's revoke";
   let stamp = ident_of a in
   if
     List.exists
@@ -1038,6 +1082,7 @@ and apply_path ctx env (e : expression) p args =
       else (env, Aother)
   | (("Mempool", "free"), None) -> (
       let env, args = analyze_args ctx env args in
+      non_deferred_free ctx ~loc;
       match node_arg args with
       | Some (a, v) -> (free_checks ctx env ~loc a v, Aother)
       | None -> (env, Aother))
@@ -1134,6 +1179,29 @@ and apply_path ctx env (e : expression) p args =
   | (("Tm", ("atomic" | "atomic_stamped")), None)
   | (("Hoh", ("apply" | "apply_stamped" | "run")), None) ->
       let is_hoh = fst key = "Hoh" in
+      (* an omitted [?site] is typed as an explicit [None] argument *)
+      let has_site =
+        List.exists
+          (function
+            | ( Asttypes.Optional "site",
+                Some
+                  {
+                    exp_desc =
+                      Texp_construct (_, { Types.cstr_name = "None"; _ }, []);
+                    _;
+                  } ) ->
+                false
+            | (Asttypes.Labelled "site" | Asttypes.Optional "site"), Some _ ->
+                true
+            | _ -> false)
+          args
+      in
+      if not has_site then
+        report ctx ~loc ~rule:"missing-site-label"
+          (Printf.sprintf
+             "%s.%s without ~site: abort attribution and sanitizer reports \
+              cannot name this transaction"
+             (fst key) (snd key));
       let env, args = analyze_args ctx env args in
       List.iter
         (fun (_, arg) ->
@@ -1207,6 +1275,12 @@ and apply_summary ctx env (e : expression) (s : Vsummary.t) args =
   if s.Vsummary.drains && ctx.in_txn then
     report ctx ~loc ~rule:"magazine-drain-in-txn"
       "this call drains mempool magazines, but runs inside a transaction";
+  if s.Vsummary.frees_eagerly && eager_free ctx then
+    if ctx.in_txn then
+      report ctx ~loc ~rule:"non-deferred-free"
+        "this call runs Mempool.free outside Tm.defer, but runs inside a \
+         transaction: the free races the window's revoke"
+    else ctx.summary.Vsummary.frees_eagerly <- true;
   (* the callee's effects are the caller's effects: a recursive retry
      loop that releases through a helper must itself count as releasing *)
   if s.Vsummary.drains then ctx.summary.Vsummary.drains <- true;

@@ -129,6 +129,7 @@ and analyze_module_binding ctx env (mb : module_binding) =
   env
 
 let analyze_file ~out (f : file) =
+  Vanalyze.collect_aliases f.f_structure;
   let ctx = mk_ctx ~modname:f.f_modname ~ref_accum:f.f_ref_accum ~out in
   ignore (analyze_structure ctx Vanalyze.empty_env f.f_structure)
 

@@ -42,6 +42,10 @@ type t = {
   mutable acquires_lock : bool;
   mutable releases_lock : bool;
   mutable drains : bool;  (* calls Mempool.drain_magazines *)
+  mutable frees_eagerly : bool;
+      (* calls Mempool.free outside any transaction it knows of, Tm.defer
+         or a Tm.current_txn guard: calling it inside a transaction is a
+         non-deferred free *)
 }
 
 let create ~arity =
@@ -53,6 +57,7 @@ let create ~arity =
     acquires_lock = false;
     releases_lock = false;
     drains = false;
+    frees_eagerly = false;
   }
 
 let param t i =

@@ -712,6 +712,58 @@ let test_pool_admission_sheds () =
   Service.finalize_thread svc ~thread;
   Service.drain svc
 
+(* The admission controller must not latch: one slow drain raises the
+   shard's service-time estimate past the SLO budget, and that estimate
+   only decays on a drain. Once the queue is empty again a Low arrival
+   must be admitted, and its drains bring the estimate back down. *)
+let test_pool_admission_recovers () =
+  let module P = Service.Worker_pool in
+  let slow = ref true in
+  let spin_ns ns =
+    let t0 = Telemetry.now_ns () in
+    while Telemetry.now_ns () - t0 < ns do
+      Domain.cpu_relax ()
+    done
+  in
+  let exec ~shard:_ ~thread:_ ops =
+    if !slow then spin_ns 5_000_000;
+    Array.map
+      (fun _ -> { Store.outcome = Store.Absent; earliest = 0; stamp = 0 })
+      ops
+  in
+  let slo_ns = 1_000_000 in
+  let p =
+    P.create ~spawn:false ~slo_ns ~shards:1 ~exec
+      ~finalize:(fun ~thread:_ -> ())
+      ()
+  in
+  let submit_low () = P.submit p ~shard:0 ~priority:P.Low [| Store.Get 1 |] in
+  (* the spike: one 5 ms drain against a 0.5 ms shedding budget *)
+  (match submit_low () with
+  | `Ticket _ -> ()
+  | `Shed -> Alcotest.fail "low must be admitted at rest");
+  check "spike drained" 1 (P.step p ~shard:0 ~thread:0);
+  checkb "estimate above budget" true
+    (P.projected_lag_ns p ~shard:0 > slo_ns / 2);
+  (* idle period: nothing queued, nothing drained *)
+  slow := false;
+  spin_ns 2_000_000;
+  check "queue empty" 0 (P.queue_depth p ~shard:0);
+  checkb "empty queue is not overloaded" false (P.overloaded p ~shard:0);
+  (* the decay is 1/32 per drain, so ~75 fast drains undo the spike; the
+     margin keeps one preempted drain near the end from failing the test *)
+  for _ = 1 to 1000 do
+    (match submit_low () with
+    | `Ticket _ -> ()
+    | `Shed -> Alcotest.fail "low into an empty queue must not be shed");
+    check "drained" 1 (P.step p ~shard:0 ~thread:0)
+  done;
+  checkb "estimate recovered" true
+    (P.projected_lag_ns p ~shard:0 <= slo_ns / 2);
+  check "nothing shed after the spike" 0
+    (List.assoc "shed_low" (P.counters p));
+  P.shutdown p
+
 (* Real worker domains: a pipelined client against the model, then
    zero-leak accounting through the workers' thread finalizers. *)
 let test_pool_workers_end_to_end () =
@@ -1213,6 +1265,8 @@ let () =
           Alcotest.test_case "fused drain" `Quick test_pool_fused_drain;
           Alcotest.test_case "admission sheds low" `Quick
             test_pool_admission_sheds;
+          Alcotest.test_case "admission recovers after a spike" `Quick
+            test_pool_admission_recovers;
           Alcotest.test_case "worker domains end to end" `Quick
             test_pool_workers_end_to_end;
         ] );

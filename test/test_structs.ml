@@ -465,6 +465,23 @@ let test_skiplist_structure () =
       check "precise reclamation" 0
         (Structs.Hoh_skiplist.pool_stats sl).Mempool.Stats.live)
 
+(* Tower heights stay within [Snode.max_level]: a fresh RR-V skiplist's
+   per-thread level generator first draws the cap at about the 1.5k-th
+   single-thread insert, which used to index [next.(max_level)] and
+   raise. *)
+let test_skiplist_tower_cap () =
+  Tm.Thread.with_registered (fun tid ->
+      let sl =
+        Structs.Hoh_skiplist.create
+          ~mode:(Structs.Mode.Rr_kind (module Rr.V))
+          ()
+      in
+      for k = 1 to 4096 do
+        checkb "insert" true (Structs.Hoh_skiplist.insert sl ~thread:tid k)
+      done;
+      check "size" 4096 (Structs.Hoh_skiplist.size sl);
+      checkb "store check" true (Store.check (Store.of_skiplist sl) = Ok ()))
+
 (* Operations compose: because nested Tm.atomic calls flatten into the
    enclosing transaction, a remove-from-one/insert-into-other pair wrapped
    in an outer transaction moves an element between two structures
@@ -603,6 +620,8 @@ let () =
             test_atomic_cross_structure_move;
           Alcotest.test_case "skiplist structure" `Quick
             test_skiplist_structure;
+          Alcotest.test_case "skiplist tower cap" `Quick
+            test_skiplist_tower_cap;
           Alcotest.test_case "ebr: deferred reclamation" `Quick
             test_ebr_defers_then_reclaims;
         ] );
