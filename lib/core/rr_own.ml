@@ -7,9 +7,11 @@
     reservation gone if {e any} other thread reserved a colliding reference
     (or, with one array, the same reference) in the meantime — a spurious
     drop that costs the victim a restart but never correctness. The
-    reserved reference itself lives in a per-thread tvar ([R_t]), which
-    rolls back with the enclosing transaction, mirroring GCC TM's
-    instrumentation of thread-local writes. *)
+    reserved reference itself lives in a per-thread {!Tm.local} ([R_t]),
+    which rolls back with the enclosing transaction, mirroring GCC TM's
+    instrumentation of thread-local writes, but never enters the write set:
+    only the owner reads it, so it needs no lock or version. [Reserve]
+    still writes the shared ownership word, so it stays a writer. *)
 
 type 'r t = {
   hash : 'r -> int;
@@ -18,7 +20,7 @@ type 'r t = {
   ways : int;
   buckets : int;
   own : int Tm.tvar array array;  (** [ways][buckets] thread ids; -1 empty *)
-  rt : 'r option Tm.tvar array array;  (** [threads][K] *)
+  rt : 'r option Tm.local array array;  (** [threads][K] *)
 }
 
 let create_t ~ways ~config ~hash ~equal =
@@ -36,7 +38,7 @@ let create_t ~ways ~config ~hash ~equal =
           Array.init config.Rr_config.buckets (fun _ -> Tm.tvar (-1)));
     rt =
       Array.init Tm.Thread.max_threads (fun _ ->
-          Array.init k (fun _ -> Tm.tvar None));
+          Array.init k (fun _ -> Tm.local None));
   }
 
 let register _t _txn = ()
@@ -49,7 +51,7 @@ let find_slot t txn cells pred =
     if i >= t.k then None
     else
       let c = cells.(i) in
-      if pred (Tm.read txn c) then Some c else go (i + 1)
+      if pred (Tm.get_local txn c) then Some c else go (i + 1)
   in
   go 0
 
@@ -69,18 +71,18 @@ let reserve t txn r =
       match find_slot t txn cells (fun v -> v = None) with
       | None -> invalid_arg "Rr_own.reserve: reservation set full"
       | Some c ->
-          Tm.write txn c (Some r);
+          Tm.set_local txn c (Some r);
           publish ())
 
 let release t txn r =
   let cells = slots t txn in
   match holding t txn cells r with
-  | Some c -> Tm.write txn c None
+  | Some c -> Tm.set_local txn c None
   | None -> ()
 
 let release_all t txn =
   Array.iter
-    (fun c -> if Tm.read txn c <> None then Tm.write txn c None)
+    (fun c -> if Tm.get_local txn c <> None then Tm.set_local txn c None)
     (slots t txn)
 
 let get t txn r =

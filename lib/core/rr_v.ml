@@ -7,7 +7,16 @@
     threads can reserve the same reference simultaneously, [Reserve] writes
     no shared memory, and [Revoke] is still O(1) (one read-modify-write). A
     spurious drop occurs only when a {e revocation} of a hash-colliding
-    reference intervenes. *)
+    reference intervenes.
+
+    The per-thread pairs [(R_t, V_t)] live in {!Tm.local} cells, so
+    "writes no shared memory" holds in the TM's cost model too: a window
+    whose only writes are its own reservations commits read-only, with no
+    lock, clock advance or commit validation. This is safe because only
+    the owner ever reads its slots ([Revoke] never does), and the
+    reserving read of the bucket counter is validated at [rv] like any
+    other read: a revocation that commits after that snapshot bumps the
+    counter, and the owner's next [Get] sees the mismatch. *)
 
 type 'r t = {
   hash : 'r -> int;
@@ -15,7 +24,7 @@ type 'r t = {
   k : int;
   buckets : int;
   v : int Tm.tvar array;
-  rt : ('r * int) option Tm.tvar array array;  (** [threads][K]: (ref, V_t) *)
+  rt : ('r * int) option Tm.local array array;  (** [threads][K]: (ref, V_t) *)
 }
 
 let name = "RR-V"
@@ -32,7 +41,7 @@ let create ?(config = Rr_config.default) ~hash ~equal () =
     v = Array.init config.Rr_config.buckets (fun _ -> Tm.tvar 0);
     rt =
       Array.init Tm.Thread.max_threads (fun _ ->
-          Array.init k (fun _ -> Tm.tvar None));
+          Array.init k (fun _ -> Tm.local None));
   }
 
 let register _t _txn = ()
@@ -44,7 +53,7 @@ let find_slot t txn cells pred =
     if i >= t.k then None
     else
       let c = cells.(i) in
-      if pred (Tm.read txn c) then Some c else go (i + 1)
+      if pred (Tm.get_local txn c) then Some c else go (i + 1)
   in
   go 0
 
@@ -57,21 +66,21 @@ let reserve t txn r =
   let cells = slots t txn in
   let vt = Tm.read txn t.v.(index t r) in
   match holding t txn cells r with
-  | Some c -> Tm.write txn c (Some (r, vt))
+  | Some c -> Tm.set_local txn c (Some (r, vt))
   | None -> (
       match find_slot t txn cells (fun v -> v = None) with
       | None -> invalid_arg "Rr_v.reserve: reservation set full"
-      | Some c -> Tm.write txn c (Some (r, vt)))
+      | Some c -> Tm.set_local txn c (Some (r, vt)))
 
 let release t txn r =
   let cells = slots t txn in
   match holding t txn cells r with
-  | Some c -> Tm.write txn c None
+  | Some c -> Tm.set_local txn c None
   | None -> ()
 
 let release_all t txn =
   Array.iter
-    (fun c -> if Tm.read txn c <> None then Tm.write txn c None)
+    (fun c -> if Tm.get_local txn c <> None then Tm.set_local txn c None)
     (slots t txn)
 
 let get t txn r =
@@ -79,7 +88,7 @@ let get t txn r =
   let rec go i =
     if i >= t.k then None
     else
-      match Tm.read txn cells.(i) with
+      match Tm.get_local txn cells.(i) with
       | Some (r', vt) when t.equal r' r ->
           if Tm.read txn t.v.(index t r) = vt then Some r else None
       | Some _ | None -> go (i + 1)

@@ -2,8 +2,8 @@
 
    Clients submit operation groups asynchronously: a submission lands in
    the owning shard's bounded ring and returns a completion cell; the
-   shard's dedicated worker domain drains the queue head into one fused
-   batch per pass, so queue pressure converts into larger transactions —
+   shard's worker domain drains the queue head into one fused batch per
+   pass, so queue pressure converts into larger transactions —
    the expensive per-transaction work (clock stamp, reserve/check round)
    is paid once per batch, not once per request (the amortization the
    service layer already exploits for explicit batches, now applied to
@@ -13,6 +13,19 @@
    dependency on the router: the service passes a closure that takes the
    shard's gate, runs [Store.batch ~fuse], and bumps the hot-cache epoch
    for writes.
+
+   Worker domains are capped at one fewer than the machine's cores (at
+   least one): a drain domain without a core of its own adds a wake-up
+   to every request it serves and a straggler to every stop-the-world
+   minor collection, so past that count a worker serves several shards,
+   draining each in turn. The cap assumes the clients need one core; it
+   has only been measured on 2 vCPUs, where one worker drains all four
+   shards. With the [s mod workers] mapping the split can be uneven (4
+   shards on 3 workers gives worker 0 two of them). Sharing a worker
+   also shares its stalls: while one of its shards' gates is held
+   exclusively (a 2PC multi), the worker waits in the gate and drains
+   none of its other shards either, a wait the admission projection
+   does not see.
 
    Admission control rides the same queues: a controller projects the
    p99 queueing lag of a new arrival from the shard's queue depth and a
@@ -42,6 +55,18 @@ type ticket = cell
 
 type req = { r_ops : Store.op array; r_cell : cell }
 
+(* One per worker domain: the shards it drains, and its idle parking — a
+   worker that found all its rings empty publishes [sleeping] and blocks
+   on [wake]; producers signal after an enqueue. Without the parking an
+   idle worker spin-burns its whole OS timeslice, which starves the
+   clients on low-core machines. *)
+type drainer = {
+  shards : int array;
+  mu : Mutex.t;
+  wake : Condition.t;
+  sleeping : bool Atomic.t;
+}
+
 (* Vyukov-style bounded MPMC ring (used MPSC: one worker per shard).
    [seq.(i) = pos] means slot [i] is free for the producer of ticket
    [pos]; [seq.(i) = pos + 1] means it holds ticket [pos]'s value. *)
@@ -54,13 +79,7 @@ type queue = {
   svc_p99_ns : int Atomic.t;  (* decaying max of per-request service time *)
   drained_reqs : int Atomic.t;
   drained_batches : int Atomic.t;
-  (* idle-worker parking: a worker that found the ring empty publishes
-     [sleeping] and blocks on [wake]; producers signal after an enqueue.
-     Without this an idle worker spin-burns its whole OS timeslice, which
-     starves the clients on low-core machines. *)
-  mu : Mutex.t;
-  wake : Condition.t;
-  sleeping : bool Atomic.t;
+  drainer : drainer;  (* shared by the queues of one worker *)
   (* a dequeued request deferred to the next fused batch because it
      touches a key an earlier request in the current batch already
      touches (see [step]); single-consumer, worker-only *)
@@ -86,7 +105,21 @@ type t = {
 let default_queue_capacity = 1024
 let default_drain_ops = 64
 
-let queue_make cap =
+let default_workers ~shards =
+  min shards (max 1 (Domain.recommended_domain_count () - 1))
+
+(* Worker [w] drains the shards [s] with [s mod workers = w]. *)
+let drainer_make ~shards ~workers w =
+  {
+    shards =
+      Array.of_list
+        (List.filter (fun s -> s mod workers = w) (List.init shards Fun.id));
+    mu = Mutex.create ();
+    wake = Condition.create ();
+    sleeping = Atomic.make false;
+  }
+
+let queue_make cap drainer =
   {
     buf = Array.init cap (fun _ -> Atomic.make None);
     seq = Array.init cap (fun i -> Atomic.make i);
@@ -96,9 +129,7 @@ let queue_make cap =
     svc_p99_ns = Pad.atomic 0;
     drained_reqs = Pad.atomic 0;
     drained_batches = Pad.atomic 0;
-    mu = Mutex.create ();
-    wake = Condition.create ();
-    sleeping = Atomic.make false;
+    drainer;
     carry = None;
   }
 
@@ -118,10 +149,11 @@ let try_enqueue t q r =
         (* depth is published before this read, so a worker that saw the
            ring empty either sees the new depth on its recheck or is
            already parked and gets the signal *)
-        if Atomic.get q.sleeping then begin
-          Mutex.lock q.mu;
-          Condition.signal q.wake;
-          Mutex.unlock q.mu
+        let p = q.drainer in
+        if Atomic.get p.sleeping then begin
+          Mutex.lock p.mu;
+          Condition.signal p.wake;
+          Mutex.unlock p.mu
         end;
         true
       end
@@ -202,9 +234,23 @@ let note_lag t ns =
   if ns >= 0 then
     Atomic.set t.lag_ns (((7 * Atomic.get t.lag_ns) + ns) / 8)
 
+(* Fold [f] over the queues of the worker that drains [shard]. *)
+let fold_worker_queues t ~shard f acc =
+  Array.fold_left
+    (fun acc s -> f acc t.qs.(s))
+    acc t.qs.(shard).drainer.shards
+
+(* A new arrival waits behind everything queued for its worker, not only
+   for its own shard: each of the worker's queues at its own service-time
+   estimate, plus the arrival's own service. With one worker per shard
+   this is (depth + 1) x estimate. *)
 let projected_lag_ns t ~shard =
-  let q = t.qs.(shard) in
-  (Atomic.get q.depth + 1) * Atomic.get q.svc_p99_ns
+  fold_worker_queues t ~shard
+    (fun lag q -> lag + (Atomic.get q.depth * Atomic.get q.svc_p99_ns))
+    (Atomic.get t.qs.(shard).svc_p99_ns)
+
+let worker_depth t ~shard =
+  fold_worker_queues t ~shard (fun d q -> d + Atomic.get q.depth) 0
 
 (* Would the controller shed a new arrival for [shard] right now? The
    verdict combines the queue projection with the reported open-loop lag
@@ -216,16 +262,16 @@ let projected_lag_ns t ~shard =
    it, shedding at half leaves room for the spikes (OS preemption, a
    2PC multi freezing the shard) the controller cannot see coming.
 
-   The projection only counts while the shard has queued work. Its
-   service-time estimate decays only on a drain, so after a spike an
-   empty queue would shed every [Low] arrival for good and never drain
-   again; admitting into an empty queue lets that drain refresh it. *)
+   The projection only counts while the shard's worker has queued work.
+   Its service-time estimates decay only on a drain, so after a spike
+   empty queues would shed every [Low] arrival for good and never drain
+   again; admitting into empty queues lets that drain refresh them. *)
 let overloaded t ~shard =
   match t.slo_ns with
   | None -> false
   | Some slo ->
       let budget = slo / 2 in
-      (Atomic.get t.qs.(shard).depth > 0 && projected_lag_ns t ~shard > budget)
+      (worker_depth t ~shard > 0 && projected_lag_ns t ~shard > budget)
       || Atomic.get t.lag_ns > budget
 
 (* ---- submission ---- *)
@@ -356,13 +402,19 @@ let step t ~shard ~thread =
       Atomic.incr q.drained_batches;
       n
 
-let worker t shard () =
+(* A worker drains one batch from each of its shards per pass. *)
+let worker t d () =
   Tm.Thread.with_registered (fun thread ->
-      let q = t.qs.(shard) in
+      let shards = d.shards in
+      let queued () =
+        Array.exists (fun s -> Atomic.get t.qs.(s).depth > 0) shards
+      in
       let idle = ref 0 in
       let running = ref true in
       while !running do
-        let n = step t ~shard ~thread in
+        let n =
+          Array.fold_left (fun n shard -> n + step t ~shard ~thread) 0 shards
+        in
         if n > 0 then idle := 0
         else if Atomic.get t.stop then running := false
         else begin
@@ -371,12 +423,12 @@ let worker t shard () =
           else begin
             (* park until a producer signals: spinning here would burn a
                whole OS timeslice that the clients need *)
-            Mutex.lock q.mu;
-            Atomic.set q.sleeping true;
-            if Atomic.get q.depth = 0 && not (Atomic.get t.stop) then
-              Condition.wait q.wake q.mu;
-            Atomic.set q.sleeping false;
-            Mutex.unlock q.mu;
+            Mutex.lock d.mu;
+            Atomic.set d.sleeping true;
+            if (not (queued ())) && not (Atomic.get t.stop) then
+              Condition.wait d.wake d.mu;
+            Atomic.set d.sleeping false;
+            Mutex.unlock d.mu;
             idle := 0
           end
         end
@@ -389,11 +441,17 @@ let create ?(queue_capacity = default_queue_capacity)
     ?(drain_ops = default_drain_ops) ?slo_ns ?(spawn = true) ~shards ~exec
     ~finalize () =
   if shards < 1 then invalid_arg "Pool.create: shards must be >= 1";
+  let workers = default_workers ~shards in
+  let drainers = Array.init workers (drainer_make ~shards ~workers) in
   if queue_capacity < 2 || queue_capacity land (queue_capacity - 1) <> 0 then
     invalid_arg "Pool.create: queue_capacity must be a power of two >= 2";
   let t =
     {
-      qs = Array.init shards (fun _ -> queue_make queue_capacity);
+      qs =
+        Array.init shards (fun s ->
+            let owns d = Array.mem s d.shards in
+            queue_make queue_capacity
+              (Option.get (Array.find_opt owns drainers)));
       mask = queue_capacity - 1;
       drain_ops = max 1 drain_ops;
       slo_ns;
@@ -409,7 +467,7 @@ let create ?(queue_capacity = default_queue_capacity)
     }
   in
   if spawn then
-    t.workers <- Array.init shards (fun s -> Domain.spawn (worker t s));
+    t.workers <- Array.map (fun d -> Domain.spawn (worker t d)) drainers;
   t
 
 let shutdown t =
@@ -417,9 +475,9 @@ let shutdown t =
     Atomic.set t.stop true;
     Array.iter
       (fun q ->
-        Mutex.lock q.mu;
-        Condition.broadcast q.wake;
-        Mutex.unlock q.mu)
+        Mutex.lock q.drainer.mu;
+        Condition.broadcast q.drainer.wake;
+        Mutex.unlock q.drainer.mu)
       t.qs;
     Array.iter Domain.join t.workers;
     t.workers <- [||]

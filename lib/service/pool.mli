@@ -1,6 +1,6 @@
-(** Per-shard worker pools: bounded MPSC request queues, dedicated drain
-    domains that fuse queued requests into batched transactions, and
-    SLO-driven admission control.
+(** Per-shard worker pools: bounded MPSC request queues, drain domains
+    that fuse queued requests into batched transactions, and SLO-driven
+    admission control.
 
     The pool is generic over execution: {!create} takes an [exec]
     closure (run these ops against this shard, under whatever locking
@@ -35,8 +35,13 @@ val create :
 (** [queue_capacity] (default 1024, power of two) bounds each shard's
     ring. [drain_ops] (default 64) caps the operations fused into one
     drained batch. [slo_ns] enables admission control; without it
-    nothing is ever shed. [finalize] runs on each worker's registered
-    thread as it exits (epoch-reclamation handoff). *)
+    nothing is ever shed. The pool runs one worker domain per shard, but
+    no more than [Domain.recommended_domain_count () - 1] (at least 1),
+    leaving a core to the submitting clients; that cap has only been
+    measured on 2 vCPUs. Worker [w] drains the shards [s] with
+    [s mod workers = w], so a shard whose gate is held exclusively stalls
+    every shard of its worker. [finalize] runs on each worker's
+    registered thread as it exits (epoch-reclamation handoff). *)
 
 val submit :
   t -> shard:int -> priority:priority -> Harness.Store.op array ->
@@ -74,12 +79,16 @@ val note_lag : t -> int -> unit
 
 val overloaded : t -> shard:int -> bool
 (** Would a [Low] arrival for [shard] be shed right now? True when
-    either the queue projection (counted only while the shard has queued
-    requests) or the lag EWMA exceeds half the SLO — the half is tail
-    headroom: both signals track means, the SLO constrains a p99. *)
+    either the queue projection (counted only while the shard's worker
+    has queued requests) or the lag EWMA exceeds half the SLO — the half
+    is tail headroom: both signals track means, the SLO constrains a
+    p99. *)
 
 val projected_lag_ns : t -> shard:int -> int
-(** (depth + 1) x decaying-max per-request service time. *)
+(** The queueing lag a new arrival on [shard] would see: depth x
+    decaying-max per-request service time, summed over the queues of the
+    worker that drains [shard], plus [shard]'s own estimate — (depth + 1)
+    x estimate when that worker drains [shard] alone. *)
 
 val queue_depth : t -> shard:int -> int
 

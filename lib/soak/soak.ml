@@ -505,10 +505,12 @@ let crash_mid_commit ~seed spec =
   let victim () =
     Tm.Thread.with_registered (fun thread ->
         victim_tid := thread;
-        (* ltid 0 only: pass the first window commit of the remove, then
-           park at the next commit entry — buffered writes staged, nothing
-           published — until the budget kills us *)
-        Dst.Inject.arm ~thread:0 ~after:1 ~times:1 Dst.Tm_commit
+        (* ltid 0 only: park at the remove's first writing commit entry —
+           buffered writes staged, nothing published — until the budget
+           kills us. Under RR-V the hand-off windows commit read-only
+           (they write only this thread's reservation slots), so that
+           commit is the unlink itself. *)
+        Dst.Inject.arm ~thread:0 ~after:0 ~times:1 Dst.Tm_commit
           (Dst.Inject.Delay 1_000_000);
         ignore (Store.remove store ~thread 8))
   in

@@ -24,6 +24,16 @@ let version word = word asr 1
    transaction logs (cf. kcas). *)
 type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
 
+(* A thread-private transactional cell: written in place, with the old
+   value kept in the owner's undo log until the attempt commits or rolls
+   back. It has no lock word and no version, so writing one never makes a
+   transaction a writer — the software analog of an HTM store to a
+   thread-local line, which costs the commit nothing. *)
+type 'a local = { mutable lv : 'a }
+
+(* Undo-log entry: the cell and the value it held before the write. *)
+type uentry = U : { cell : 'a local; old : 'a } -> uentry
+
 type txn = {
   mutable tid : int;
   mutable rv : int;
@@ -44,6 +54,8 @@ type txn = {
       (* Open-addressed uid index over [wset] ([slot+1]; 0 = empty),
          engaged once [wn] passes [windex_threshold] so lookups stop
          being O(wn). [no_index] (physically) when disengaged. *)
+  mutable undo : uentry array;
+  mutable un : int;
   mutable defers : (unit -> unit) list;
   mutable stamp : int;
   mutable read_only : bool;
@@ -74,6 +86,7 @@ type 'a result = {
 
 let dummy_lock = Atomic.make 0
 let dummy_wentry = W { tv = { lock = Atomic.make 0; cell = Atomic.make 0; uid = -1 }; v = 0 }
+let dummy_uentry = U { cell = { lv = 0 }; old = 0 }
 
 let max_threads = 128
 let () = assert (max_threads <= Telemetry.max_threads)
@@ -122,6 +135,8 @@ let fresh_txn tid stats =
     wn = 0;
     wfilter = 0;
     windex = no_index;
+    undo = Array.make 8 dummy_uentry;
+    un = 0;
     defers = [];
     stamp = 0;
     read_only = true;
@@ -377,6 +392,43 @@ let wset_holds_lock txn lock uid =
     in
     go 0
 
+(* ---- thread-private cells ---- *)
+
+(* Padded: the cells of different threads are typically allocated side by
+   side (one row per thread id), and every write would otherwise bounce
+   the line between the owners. *)
+let local v = Pad.copy_as_padded { lv = v }
+let get_local (_ : txn) c = c.lv
+
+let set_local (txn : txn) c v =
+  (* A serial transaction is irrevocable, so there is nothing to undo. *)
+  if not txn.serial then begin
+    if txn.un = Array.length txn.undo then begin
+      let arr = Array.make (2 * txn.un) dummy_uentry in
+      Array.blit txn.undo 0 arr 0 txn.un;
+      txn.undo <- arr
+    end;
+    txn.undo.(txn.un) <- U { cell = c; old = c.lv };
+    txn.un <- txn.un + 1
+  end;
+  c.lv <- v
+
+(* Replay the undo log newest-first, so a cell written twice in one
+   attempt ends at the value it held before the first write. *)
+let rollback_locals txn =
+  for i = txn.un - 1 downto 0 do
+    let (U u) = txn.undo.(i) in
+    u.cell.lv <- u.old;
+    txn.undo.(i) <- dummy_uentry
+  done;
+  txn.un <- 0
+
+let forget_locals txn =
+  for i = 0 to txn.un - 1 do
+    txn.undo.(i) <- dummy_uentry
+  done;
+  txn.un <- 0
+
 let reset_logs txn =
   (* Clear stored references so the GC can collect dead tvars. *)
   for i = 0 to txn.rn - 1 do
@@ -392,6 +444,8 @@ let reset_logs txn =
      and the next large one rebuilds at the right size anyway. *)
   if txn.windex != no_index then txn.windex <- no_index;
   txn.defers <- [];
+  (* the commit point ([run_defers]) or the rollback emptied it *)
+  assert (txn.un = 0);
   txn.read_only <- true;
   txn.must_validate <- false
 
@@ -552,7 +606,11 @@ let thread_id (txn : txn) = txn.tid
 let is_serial (txn : txn) = txn.serial
 let commit_stamp (txn : txn) = txn.stamp
 
+(* Runs at the commit point. The local writes are final from here on:
+   dropping their undo entries first keeps a deferred callback that raises
+   (or a DST kill inside one) from rolling back a committed attempt. *)
 let run_defers (txn : txn) =
+  forget_locals txn;
   let ds = List.rev txn.defers in
   txn.defers <- [];
   List.iter (fun f -> f ()) ds
@@ -904,6 +962,7 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
               attempts = total + 1; serial = false }
         | exception Abort cause ->
             txn.active <- false;
+            rollback_locals txn;
             reset_logs txn;
             San.tm_abort ~tid:txn.tid;
             if tele then begin
@@ -942,6 +1001,7 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
         | exception e ->
             txn.active <- false;
             release_middle ();
+            rollback_locals txn;
             reset_logs txn;
             San.tm_abandon ~tid:txn.tid;
             raise e

@@ -98,6 +98,36 @@ val read : txn -> 'a tvar -> 'a
 val write : txn -> 'a tvar -> 'a -> unit
 (** Transactional write, buffered until commit. *)
 
+type 'a local
+(** A thread-private transactional cell: the TM's analog of an HTM store
+    to a thread-local line. A write takes effect in place and is
+    undo-logged in the writing transaction; the log is replayed
+    newest-first if the attempt aborts or is unwound by any other
+    exception, and dropped when it commits. A local has no lock word and
+    no version, so reads are plain (no read-set entry) and writing one does
+    {e not} make the transaction a writer: a transaction whose only writes
+    are locals commits read-only — no lock, no clock advance, no commit
+    validation — and its {!result} reports [read_only = true]. In serial
+    mode writes are irrevocable, as tvar writes are.
+
+    {b Ownership.} A local must only ever be touched by one thread — the
+    one whose transactions read and write it (typically a per-thread-id
+    slot, e.g. a revocable reservation's [R_t]). No other thread may read
+    it, even transactionally: nothing orders its in-place writes against
+    another thread's reads, and another thread could observe a value that
+    is later rolled back. *)
+
+val local : 'a -> 'a local
+(** [local v] allocates a fresh local holding [v], isolated on its own
+    cache lines (per-thread rows of locals are usually allocated side by
+    side). *)
+
+val get_local : txn -> 'a local -> 'a
+(** The local's current value, including this transaction's own writes. *)
+
+val set_local : txn -> 'a local -> 'a -> unit
+(** Write in place, undo-logged unless the transaction is serial. *)
+
 val retry : txn -> 'a
 (** Abort the current attempt and re-execute from the beginning. Does not
     count toward the serial-fallback threshold. Must not be used from serial

@@ -300,7 +300,7 @@ let test_fusion_serializability_oracle () =
    [middle_exclusion ~expect:`Probe] (budget 300, <= 2000 runs) found the
    middle-path schedule at seed 1 in 22 runs; a PCT depth-2 search over
    [fusion_shrink ~expect:`Probe] (budget 400, <= 6000 runs) found the
-   shrink schedule at seed 50 in 198 runs. The minimized traces are
+   shrink schedule at seed 1155 in 1252 runs. The minimized traces are
    pinned in Dst_scenarios. *)
 let test_pinned_optimization_paths () =
   let replay mk sched = Dst.Explore.replay mk sched in
@@ -402,6 +402,7 @@ let rr_model_case (module M : Rr.S) () =
       ~hash:(fun r -> !r) ~equal:( == ) ()
   in
   let log = ref [] in
+  let seq = Array.make 2 0 in
   let step thread act =
     let r =
       Tm.atomic_stamped (fun txn ->
@@ -421,9 +422,19 @@ let rr_model_case (module M : Rr.S) () =
               None
           | `Get i -> Some (ops.Rr.get txn refs.(i) <> None))
     in
-    (* writers before readers at equal stamps, as in Serial_check *)
+    (* Writers before readers at equal stamps, as in Serial_check; then
+       program order. Read-only transactions share their [rv] as stamp, so
+       one thread's reserves, releases and gets can tie: the per-thread
+       sequence number orders them as issued (two threads' read-only
+       transactions at one stamp commute: each touches only its own set). *)
+    let n = seq.(thread) in
+    seq.(thread) <- n + 1;
     log :=
-      (r.Tm.stamp, (if r.Tm.read_only then 1 else 0), thread, act, r.Tm.value)
+      ( r.Tm.stamp,
+        (if r.Tm.read_only then 1 else 0),
+        (thread, n),
+        act,
+        r.Tm.value )
       :: !log
   in
   let t0 () =
@@ -445,7 +456,7 @@ let rr_model_case (module M : Rr.S) () =
         let model = Rr.Spec_model.create ~equal:( == ) () in
         let trace = List.sort compare (List.rev !log) in
         List.iter
-          (fun (_, _, thread, act, got) ->
+          (fun (_, _, (thread, _), act, got) ->
             match act with
             | `Reserve i -> Rr.Spec_model.reserve model ~thread refs.(i)
             | `Release i -> Rr.Spec_model.release model ~thread refs.(i)
@@ -578,6 +589,26 @@ let test_forced_aborts_are_absorbed () =
   checkb "clean" false (Dst.Sched.failed o);
   check "all increments survived the injected aborts" 10 !total;
   Dst.Inject.clear ()
+
+(* A logical thread killed while parked at its commit entry unwinds
+   through the attempt's non-Abort exception path: its local writes must
+   be undone exactly like its buffered (never published) tvar writes. *)
+let test_kill_rolls_back_locals () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let c = Tm.local 0 and v = Tm.tvar 0 in
+  let victim () =
+    Tm.Thread.with_registered (fun _ ->
+        Dst.Inject.arm ~times:1 Dst.Tm_commit (Dst.Inject.Delay 1_000_000);
+        Tm.atomic (fun txn ->
+            Tm.set_local txn c 1;
+            Tm.write txn v 1))
+  in
+  let o = Dst.Sched.run ~budget:200 (Dst.Sched.Random 1) [ victim ] in
+  Dst.Inject.clear ();
+  checkb "victim parked mid-commit and was killed" true o.Dst.Sched.hung;
+  check "tvar write never published" 0 (Tm.peek v);
+  check "local write undone" 0 (Tm.atomic (fun txn -> Tm.get_local txn c))
 
 (* A commit stalled mid lock-acquisition and a revocation sweep stalled
    mid-walk are just long windows for the other thread; serializability
@@ -715,6 +746,8 @@ let () =
             test_forced_aborts_are_absorbed;
           Alcotest.test_case "stalled commit and revocation" `Quick
             test_stalled_commit_and_revocation;
+          Alcotest.test_case "kill rolls back locals" `Quick
+            test_kill_rolls_back_locals;
           Alcotest.test_case "allocation failure" `Quick
             test_alloc_failure_is_clean;
         ] );

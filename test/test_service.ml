@@ -764,6 +764,88 @@ let test_pool_admission_recovers () =
     (List.assoc "shed_low" (P.counters p));
   P.shutdown p
 
+(* More shards than cores: the pool runs fewer workers than shards, so
+   some worker drains several of them. Every shard's ring must still be
+   drained, and a client awaiting each shard in turn must never wait on
+   a shard its worker skips. *)
+let shared_worker_shards () = Domain.recommended_domain_count () + 1
+
+let test_pool_shared_worker () =
+  let module P = Service.Worker_pool in
+  let shards = shared_worker_shards () in
+  let exec ~shard ~thread:_ ops =
+    Array.map
+      (fun _ -> { Store.outcome = Store.Found; earliest = shard; stamp = 0 })
+      ops
+  in
+  let p = P.create ~shards ~exec ~finalize:(fun ~thread:_ -> ()) () in
+  let n = 30 * shards in
+  let tickets =
+    List.init n (fun i ->
+        let shard = i mod shards in
+        match P.submit p ~shard ~priority:P.High [| Store.Get i |] with
+        | `Ticket t -> (shard, t)
+        | `Shed -> Alcotest.fail "nothing sheds without an SLO")
+  in
+  List.iter
+    (fun (shard, t) ->
+      check "reply from the submitted shard" shard
+        (P.await t).(0).Store.earliest)
+    tickets;
+  P.shutdown p;
+  check "every request drained" n
+    (List.assoc "drained_requests" (P.counters p))
+
+(* A worker that drains two shards serves them one after the other, so
+   an arrival on an idle shard still waits behind the other shard's
+   backlog: the projection and the shed verdict must see it. Only shard
+   0 is slow and backlogged, so an idle shard projects more than its own
+   (zero) service estimate exactly when it shares shard 0's worker. *)
+let test_pool_shared_worker_projection () =
+  let module P = Service.Worker_pool in
+  let shards = shared_worker_shards () in
+  let spin_ns ns =
+    let t0 = Telemetry.now_ns () in
+    while Telemetry.now_ns () - t0 < ns do
+      Domain.cpu_relax ()
+    done
+  in
+  let exec ~shard ~thread:_ ops =
+    if shard = 0 then spin_ns 2_000_000;
+    Array.map
+      (fun _ -> { Store.outcome = Store.Absent; earliest = 0; stamp = 0 })
+      ops
+  in
+  let p =
+    P.create ~spawn:false ~slo_ns:1_000_000 ~shards ~exec
+      ~finalize:(fun ~thread:_ -> ())
+      ()
+  in
+  let submit () =
+    match P.submit p ~shard:0 ~priority:P.High [| Store.Get 1 |] with
+    | `Ticket _ -> ()
+    | `Shed -> Alcotest.fail "high is never shed"
+  in
+  (* one slow drain sets shard 0's estimate, then a backlog of one *)
+  submit ();
+  check "slow drain" 1 (P.step p ~shard:0 ~thread:0);
+  submit ();
+  let busy = P.projected_lag_ns p ~shard:0 in
+  let sharing =
+    List.filter
+      (fun s -> P.projected_lag_ns p ~shard:s > 0)
+      (List.init (shards - 1) succ)
+  in
+  checkb "some idle shard shares shard 0's worker" true (sharing <> []);
+  List.iter
+    (fun s ->
+      checkb "idle shard waits behind the backlog" true
+        (P.projected_lag_ns p ~shard:s >= busy / 2);
+      checkb "idle shard of a busy worker sheds" true
+        (P.overloaded p ~shard:s))
+    sharing;
+  P.shutdown p
+
 (* Real worker domains: a pipelined client against the model, then
    zero-leak accounting through the workers' thread finalizers. *)
 let test_pool_workers_end_to_end () =
@@ -1269,6 +1351,10 @@ let () =
             test_pool_admission_recovers;
           Alcotest.test_case "worker domains end to end" `Quick
             test_pool_workers_end_to_end;
+          Alcotest.test_case "shared worker drains every shard" `Quick
+            test_pool_shared_worker;
+          Alcotest.test_case "shared worker projection" `Quick
+            test_pool_shared_worker_projection;
         ] );
       ( "hotcache",
         [

@@ -340,6 +340,26 @@ let test_rr_list_reclaims_immediately () =
       (* precise: the node is back in the pool the moment remove returns *)
       check "freed immediately, no drain needed" 1 (live ()))
 
+(* RR-V's reserve writes only the thread's own reservation slots, which
+   are TM locals: on a quiescent list every window of a lookup commits
+   read-only, so a lookup across many windows never advances the global
+   clock. *)
+let test_rr_v_lookup_read_only () =
+  Tm.Thread.with_registered (fun tid ->
+      let l =
+        Structs.Hoh_list.create
+          ~mode:(Structs.Mode.Rr_kind (module Rr.V))
+          ~window:2 ~scatter:false ()
+      in
+      for k = 1 to 32 do
+        ignore (Structs.Hoh_list.insert l ~thread:tid k)
+      done;
+      let before = Tm.clock () in
+      checkb "found the last key" true (Structs.Hoh_list.lookup l ~thread:tid 32);
+      checkb "missed past the end" false
+        (Structs.Hoh_list.lookup l ~thread:tid 33);
+      check "clock unchanged by lookups" before (Tm.clock ()))
+
 let test_bst_int_two_child_removal () =
   Tm.Thread.with_registered (fun tid ->
       let t =
@@ -607,6 +627,8 @@ let () =
             test_tmhp_reclaims_on_drain;
           Alcotest.test_case "rr: immediate reclamation" `Quick
             test_rr_list_reclaims_immediately;
+          Alcotest.test_case "rr-v: lookups commit read-only" `Quick
+            test_rr_v_lookup_read_only;
           Alcotest.test_case "bst-int: two-child removal" `Quick
             test_bst_int_two_child_removal;
           Alcotest.test_case "bst-int: degenerate chain" `Quick

@@ -256,6 +256,96 @@ let test_read_phase_writes_commit () =
       Tm.atomic ~read_phase:true (fun txn -> Tm.write txn v 5);
       check "private write committed" 5 (Tm.peek v))
 
+(* ---- thread-private locals ---- *)
+
+let local_value c = Tm.atomic (fun txn -> Tm.get_local txn c)
+
+(* Each attempt sees the value the cell held before the aborted attempt's
+   writes — two writes per attempt, so the replay must run newest-first. *)
+let local_rolls_back_on cause () =
+  with_tm (fun () ->
+      let c = Tm.local 0 in
+      let seen = ref [] in
+      let attempts = ref 0 in
+      Tm.atomic ~max_attempts:10 (fun txn ->
+          incr attempts;
+          seen := Tm.get_local txn c :: !seen;
+          Tm.set_local txn c 1;
+          Tm.set_local txn c 2;
+          if !attempts = 1 then
+            match cause with
+            | Tm.User_retry -> Tm.retry txn
+            | cause -> raise (Tm.Abort cause));
+      Alcotest.(check (list int)) "both attempts start from 0" [ 0; 0 ]
+        !seen;
+      check "committed attempt's write kept" 2 (local_value c))
+
+let test_local_rollback_on_exception () =
+  with_tm (fun () ->
+      let c = Tm.local "a" in
+      (try
+         Tm.atomic (fun txn ->
+             Tm.set_local txn c "b";
+             Tm.set_local txn c "c";
+             failwith "boom")
+       with Failure _ -> ());
+      Alcotest.(check string) "write undone" "a" (local_value c))
+
+let test_local_read_own_write () =
+  with_tm (fun () ->
+      let c = Tm.local 0 in
+      let seen =
+        Tm.atomic (fun txn ->
+            Tm.set_local txn c 7;
+            let a = Tm.get_local txn c in
+            Tm.set_local txn c (a + 1);
+            (a, Tm.get_local txn c))
+      in
+      checkb "reads own writes" true (seen = (7, 8));
+      check "committed" 8 (local_value c))
+
+(* The point of a local: a transaction whose only writes are locals is a
+   TL2 reader — no write-set entry, no clock advance. *)
+let test_local_only_writes_commit_read_only () =
+  with_tm (fun () ->
+      let c = Tm.local 0 and v = Tm.tvar 5 in
+      let before = Tm.clock () in
+      let r =
+        Tm.atomic_stamped (fun txn ->
+            Tm.set_local txn c (Tm.read txn v);
+            Tm.writes_logged txn)
+      in
+      check "nothing in the write set" 0 r.Tm.value;
+      checkb "committed read-only" true r.Tm.read_only;
+      check "clock unchanged" before (Tm.clock ());
+      check "write kept" 5 (local_value c))
+
+(* Serial transactions are irrevocable: like a tvar write, a local write
+   stays when the body raises. *)
+let test_local_serial_irrevocable () =
+  with_tm (fun () ->
+      let c = Tm.local 0 and v = Tm.tvar 0 in
+      (try
+         Tm.atomic ~max_attempts:0 (fun txn ->
+             Tm.set_local txn c 1;
+             Tm.write txn v 1;
+             failwith "boom")
+       with Failure _ -> ());
+      check "tvar write stayed" 1 (Tm.peek v);
+      check "local write stayed" 1 (local_value c))
+
+(* Local writes are final once the attempt commits: a deferred callback
+   that raises after the commit point cannot roll them back. *)
+let test_local_survives_raising_defer () =
+  with_tm (fun () ->
+      let c = Tm.local 0 in
+      (try
+         Tm.atomic (fun txn ->
+             Tm.set_local txn c 1;
+             Tm.defer txn (fun () -> failwith "defer"))
+       with Failure _ -> ());
+      check "committed write kept" 1 (local_value c))
+
 (* ---- commit path: write-set index, filters, read-set dedup ---- *)
 
 (* Mirrors the Bloom-bit hash in tm.ml (white-box): used to manufacture a
@@ -636,6 +726,22 @@ let () =
             test_read_phase_never_serial;
           Alcotest.test_case "read-phase writes commit" `Quick
             test_read_phase_writes_commit;
+        ] );
+      ( "locals",
+        [
+          Alcotest.test_case "rollback on read_invalid" `Quick
+            (local_rolls_back_on Tm.Read_invalid);
+          Alcotest.test_case "rollback on user_retry" `Quick
+            (local_rolls_back_on Tm.User_retry);
+          Alcotest.test_case "rollback on exception" `Quick
+            test_local_rollback_on_exception;
+          Alcotest.test_case "read-own-write" `Quick test_local_read_own_write;
+          Alcotest.test_case "local-only writes commit read-only" `Quick
+            test_local_only_writes_commit_read_only;
+          Alcotest.test_case "serial writes irrevocable" `Quick
+            test_local_serial_irrevocable;
+          Alcotest.test_case "survives a raising defer" `Quick
+            test_local_survives_raising_defer;
         ] );
       ( "commit path",
         [
