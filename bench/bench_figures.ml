@@ -11,6 +11,10 @@ module Spec = Factories.Spec
 (* Every curve is a [Spec.t]; [build] instantiates a fresh handle. *)
 let build spec = (Factories.make spec).Factories.make ()
 
+(* The figures reproduce the paper's fixed window W, so every windowed
+   curve pins the static window over the library's adaptive default. *)
+let static = Spec.v ~adaptive:false
+
 type mode_params = {
   quick : bool;
   csv_dir : string option;
@@ -80,7 +84,7 @@ let rr_list_curves ~window_of =
   List.map
     (fun (name, kind) ->
       curve name (fun ~threads ->
-          build (Spec.v ~window:(window_of ~threads) Spec.Slist kind)))
+          build (static ~window:(window_of ~threads) Spec.Slist kind)))
     Factories.rr_kinds
 
 let struct_curve ?strategy ?split_unlink structure kind ~window_of =
@@ -88,7 +92,7 @@ let struct_curve ?strategy ?split_unlink structure kind ~window_of =
     (Structs.Mode.kind_name kind)
     (fun ~threads ->
       build
-        (Spec.v ?strategy ?split_unlink ~window:(window_of ~threads) structure
+        (static ?strategy ?split_unlink ~window:(window_of ~threads) structure
            kind))
 
 let slist_curve ?strategy kind ~window_of =
@@ -154,7 +158,7 @@ let figure_3 p =
                 (fun (name, kind) ->
                   curve name (fun ~threads ->
                       build
-                        (Spec.v ~window:(list_window ~threads) Spec.Dlist kind)))
+                        (static ~window:(list_window ~threads) Spec.Dlist kind)))
                 Factories.rr_kinds
             @ [ dlist_curve Structs.Mode.Tmhp ~window_of:list_window ]
           in
@@ -179,7 +183,7 @@ let figure_4 p =
             let points =
               List.map
                 (fun w ->
-                  let h = build (Spec.v ~window:w Spec.Slist kind) in
+                  let h = build (static ~window:w Spec.Slist kind) in
                   let spec =
                     Workload.spec ~key_bits:10 ~lookup_pct:33 ~threads
                       ~ops_per_thread:ops ()
@@ -225,11 +229,11 @@ let figure_5 p =
             [
               curve (prefix ^ "TMHP") (fun ~threads ->
                   build
-                    (Spec.v ~strategy ~window:(list_window ~threads) Spec.Dlist
+                    (static ~strategy ~window:(list_window ~threads) Spec.Dlist
                        Structs.Mode.Tmhp));
               curve (prefix ^ "RR-XO") (fun ~threads ->
                   build
-                    (Spec.v ~strategy ~window:(list_window ~threads) Spec.Dlist
+                    (static ~strategy ~window:(list_window ~threads) Spec.Dlist
                        (Structs.Mode.Rr_kind (module Rr.Xo))));
             ])
           strategies
@@ -262,7 +266,7 @@ let figure_6 p =
                 (fun (name, kind) ->
                   curve name (fun ~threads ->
                       build
-                        (Spec.v ~window:(tree_window ~threads) Spec.Bst_int
+                        (static ~window:(tree_window ~threads) Spec.Bst_int
                            kind)))
                 Factories.rr_kinds
           in
@@ -291,7 +295,7 @@ let figure_7 p =
     @ List.map
         (fun (name, kind) ->
           curve name (fun ~threads ->
-              build (Spec.v ~window:(tree_window ~threads) Spec.Bst_ext kind)))
+              build (static ~window:(tree_window ~threads) Spec.Bst_ext kind)))
         Factories.rr_kinds
   in
   run_panel p
@@ -322,7 +326,7 @@ let reclaim_bench p =
           ("REF", Structs.Mode.Ref);
         ]
        |> List.map (fun (label, kind) ->
-              (label, fun () -> build (Spec.v ~window:8 Spec.Slist kind))))
+              (label, fun () -> build (static ~window:8 Spec.Slist kind))))
       @ [
           ("LFHP", fun () -> (Factories.lf_list `Hp).Factories.make ());
           ("LFLeak", fun () -> (Factories.lf_list `Leak).Factories.make ());
@@ -360,7 +364,7 @@ let ablation_bench p =
     (fun scatter ->
       let h =
         build
-          (Spec.v ~window:8 ~scatter Spec.Slist
+          (static ~window:8 ~scatter Spec.Slist
              (Structs.Mode.Rr_kind (module Rr.Xo)))
       in
       Printf.printf "slist RR-XO scatter=%-5b          %12.0f ops/s\n" scatter
@@ -371,7 +375,7 @@ let ablation_bench p =
     (fun split ->
       let h =
         build
-          (Spec.v ~window:8 ~split_unlink:split Spec.Dlist
+          (static ~window:8 ~split_unlink:split Spec.Dlist
              (Structs.Mode.Rr_kind (module Rr.Fa)))
       in
       Printf.printf "dlist RR-FA split_unlink=%-5b     %12.0f ops/s\n" split
@@ -383,7 +387,7 @@ let ablation_bench p =
       let rr_config = { Rr.Config.default with dm_eager_unlink = eager } in
       let h =
         build
-          (Spec.v ~window:8 ~rr_config Spec.Slist
+          (static ~window:8 ~rr_config Spec.Slist
              (Structs.Mode.Rr_kind (module Rr.Dm)))
       in
       Printf.printf "slist RR-DM eager_unlink=%-5b     %12.0f ops/s\n" eager
@@ -392,7 +396,7 @@ let ablation_bench p =
   (* hash set extension (paper Sec. 6): reservations across bucket chains *)
   List.iter
     (fun (label, kind) ->
-      let h = build (Spec.v ~buckets:16 ~window:8 Spec.Hashset kind) in
+      let h = build (static ~buckets:16 ~window:8 Spec.Hashset kind) in
       Printf.printf "hashset %-24s %12.0f ops/s\n" label (throughput h))
     [
       ("RR-V", Structs.Mode.Rr_kind (module Rr.V));

@@ -187,19 +187,20 @@ let san_probe p (c : config) ~ops_per_thread =
     ]
 
 (* The raw-speed probe matrix: the hot-traversal list configuration run
-   once per point of the optimization on/off grid — window fusion, the
-   middle lock path, and mempool magazines, individually and together —
-   plus a paired all-off rerun so "within noise" compares two runs of the
-   same code. The knobs are compiled into every binary and default off, so
-   the all-off point doubles as the guard that carrying them costs
-   nothing. *)
+   once per point of the optimization grid — the library default (the
+   contention-adaptive window controller), the paper's static window, the
+   middle lock path and mempool magazines on top of the default, and both
+   together — plus a paired rerun of the default so "within noise"
+   compares two runs of the same code. The middle path and magazines are
+   compiled into every binary and default off, so the default point
+   doubles as the guard that carrying them costs nothing. *)
 let opt_variants =
   [
-    ("all-off", (1, false, false));
-    ("fuse4", (4, false, false));
-    ("mid", (1, true, false));
-    ("mag", (1, false, true));
-    ("all-on", (4, true, true));
+    ("default", (true, false, false));
+    ("static", (false, false, false));
+    ("mid", (true, true, false));
+    ("mag", (true, false, true));
+    ("all-on", (true, true, true));
   ]
 
 let opt_probe p ~ops_per_thread =
@@ -211,13 +212,13 @@ let opt_probe p ~ops_per_thread =
      conflicts are real, and [max_attempts = 1] (the soak-test convention)
      sends every repeated conflict down the fallback ladder — the
      middle path's effect on serial fallbacks is only measurable when
-     the all-off configuration actually takes that ladder. *)
+     the default configuration actually takes that ladder. *)
   let lookup_pct = 33 and key_bits = 5 and max_attempts = 1 in
-  let point ~fusion ~middle ~magazines =
+  let point ~adaptive ~middle ~magazines =
     (* Built directly (not via [Factories.make]) so the pool's magazine
        counters stay readable after the run. *)
     let l =
-      Structs.Hoh_list.create ~mode:kind ~window ~fusion ~middle ~magazines
+      Structs.Hoh_list.create ~mode:kind ~window ~adaptive ~middle ~magazines
         ~max_attempts ()
     in
     let spec =
@@ -229,12 +230,13 @@ let opt_probe p ~ops_per_thread =
   (* One discarded warm-up run: the first driver run on a fresh binary
      pays allocator/GC cold-start costs that would otherwise land
      entirely on the baseline sample and masquerade as noise. *)
-  ignore (point ~fusion:1 ~middle:false ~magazines:false);
-  let base, _ = point ~fusion:1 ~middle:false ~magazines:false in
+  ignore (point ~adaptive:true ~middle:false ~magazines:false);
+  let base, _ = point ~adaptive:true ~middle:false ~magazines:false in
   let runs =
     List.map
-      (fun (name, (fusion, middle, magazines)) ->
-        (name, (fusion, middle, magazines), point ~fusion ~middle ~magazines))
+      (fun (name, knobs) ->
+        let adaptive, middle, magazines = knobs in
+        (name, knobs, point ~adaptive ~middle ~magazines))
       opt_variants
   in
   let tput name =
@@ -245,24 +247,26 @@ let opt_probe p ~ops_per_thread =
     let _, _, (r, _) = List.find (fun (n, _, _) -> n = name) runs in
     Tm.Stats.fallbacks_serial r.Driver.tm
   in
-  let all_off = tput "all-off" in
-  let off_vs_baseline = all_off /. base.Driver.throughput in
-  let all_on_vs_all_off = tput "all-on" /. all_off in
-  let middle_reduces_serial = serial "mid" < serial "all-off" in
+  let default = tput "default" in
+  let off_vs_baseline = default /. base.Driver.throughput in
+  let default_vs_static = default /. tput "static" in
+  let all_on_vs_default = tput "all-on" /. default in
+  let middle_reduces_serial = serial "mid" < serial "default" in
   Printf.printf
-    "opt probe  slist     RR-V   %dT: off/base %.2f, all-on/all-off %.2fx, \
-     serial fallbacks %d -> %d under middle\n%!"
-    threads off_vs_baseline all_on_vs_all_off (serial "all-off") (serial "mid");
-  let variant_json (name, (fusion, middle, magazines), (r, pool)) =
+    "opt probe  slist     RR-V   %dT: default/base %.2f, default/static \
+     %.2fx, all-on/default %.2fx, serial fallbacks %d -> %d under middle\n%!"
+    threads off_vs_baseline default_vs_static all_on_vs_default
+    (serial "default") (serial "mid");
+  let variant_json (name, (adaptive, middle, magazines), (r, pool)) =
     let spec =
-      Spec.v ~window ~fusion ~middle ~magazines ~max_attempts Spec.Slist kind
+      Spec.v ~window ~adaptive ~middle ~magazines ~max_attempts Spec.Slist kind
     in
     let tm = r.Driver.tm in
     Json.Obj
       [
         ("variant", Json.String name);
         ("label", Json.String (Spec.label spec));
-        ("fusion", Json.Int fusion);
+        ("adaptive", Json.Bool adaptive);
         ("middle", Json.Bool middle);
         ("magazines", Json.Bool magazines);
         ("throughput", Json.Float r.Driver.throughput);
@@ -271,7 +275,7 @@ let opt_probe p ~ops_per_thread =
         ("fallbacks_serial", Json.Int (Tm.Stats.fallbacks_serial tm));
         ("magazine_hits", Json.Int pool.Mempool.Stats.magazine_hits);
         ("magazine_misses", Json.Int pool.Mempool.Stats.magazine_misses);
-        ("vs_all_off", Json.Float (r.Driver.throughput /. all_off));
+        ("vs_default", Json.Float (r.Driver.throughput /. default));
         ("verified", Json.Bool (r.Driver.verdict = Ok ()));
       ]
   in
@@ -286,7 +290,8 @@ let opt_probe p ~ops_per_thread =
       ("ops_per_thread", Json.Int ops_per_thread);
       ("baseline_throughput", Json.Float base.Driver.throughput);
       ("off_vs_baseline", Json.Float off_vs_baseline);
-      ("all_on_vs_all_off", Json.Float all_on_vs_all_off);
+      ("default_vs_static", Json.Float default_vs_static);
+      ("all_on_vs_default", Json.Float all_on_vs_default);
       ("middle_reduces_serial", Json.Bool middle_reduces_serial);
       ("variants", Json.List (List.map variant_json runs));
     ]
@@ -341,7 +346,9 @@ let validate js =
   let* () = if obase > 0. then Ok () else err "opt baseline_throughput <= 0" in
   let* oratio = field "off_vs_baseline" Json.to_float opt in
   let* () = if oratio > 0. then Ok () else err "opt off_vs_baseline <= 0" in
-  let* _ = field "all_on_vs_all_off" Json.to_float opt in
+  let* dvs = field "default_vs_static" Json.to_float opt in
+  let* () = if dvs > 0. then Ok () else err "opt default_vs_static <= 0" in
+  let* _ = field "all_on_vs_default" Json.to_float opt in
   let* _ = field "middle_reduces_serial" Json.to_bool opt in
   let* variants = field "variants" Json.to_list opt in
   let* () =
@@ -490,10 +497,10 @@ let smoke () =
       fail "sanitizer-off throughput fell out of noise (ratio %.2f)" ratio
   | Some (Json.Float _) -> ()
   | _ -> fail "san probe missing off_vs_baseline");
-  (* Same bound for the optimization knobs: all three are compiled into
-     the binary but disabled in the all-off point, so falling out of noise
-     against the paired baseline rerun means a disabled knob has a hot-path
-     cost. *)
+  (* Same bound for the optimization knobs: the middle path and magazines
+     are compiled into the binary but disabled in the default point, so
+     falling out of noise against the paired baseline rerun means a
+     disabled knob has a hot-path cost. *)
   (match Option.bind (Json.member "opt" js) (Json.member "off_vs_baseline") with
   | Some (Json.Float ratio) when ratio < 0.33 ->
       fail "optimizations-off throughput fell out of noise (ratio %.2f)" ratio

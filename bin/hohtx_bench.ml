@@ -39,7 +39,7 @@ let mode_conv =
   in
   Arg.conv (parse, fun ppf m -> Fmt.string ppf (Structs.Mode.kind_name m))
 
-let run family mode window scatter fusion middle magazines key_bits lookup_pct
+let run family mode window scatter middle magazines key_bits lookup_pct
     threads ops verify strategy telemetry =
   let ( let* ) = Result.bind in
   let inapplicable flag v =
@@ -74,7 +74,7 @@ let run family mode window scatter fusion middle magazines key_bits lookup_pct
         in
         Ok
           (Factories.make
-             (Factories.Spec.v ~window ~scatter ?fusion ?middle ?magazines
+             (Factories.Spec.v ~window ~scatter ?middle ?magazines
                 ~strategy structure mode))
     | None ->
         (* Lock-free baselines take none of the transactional knobs, and
@@ -83,7 +83,6 @@ let run family mode window scatter fusion middle magazines key_bits lookup_pct
            leaky baseline. *)
         let* () = inapplicable "--window" window in
         let* () = inapplicable "--scatter" scatter in
-        let* () = inapplicable "--fusion" fusion in
         let* () = inapplicable "--middle" middle in
         let* () = inapplicable "--magazines" magazines in
         let* () = inapplicable "--allocator" strategy in
@@ -165,15 +164,6 @@ let cmd =
           ~doc:"Scatter first window (default true; transactional families \
                 only).")
   in
-  let fusion =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fusion" ]
-          ~doc:"Fuse up to $(docv) clean windows into one transaction \
-                (default 1 = off; transactional families only)."
-          ~docv:"K")
-  in
   let middle =
     Arg.(
       value
@@ -226,7 +216,7 @@ let cmd =
   let term =
     Term.(
       term_result ~usage:true
-        (const run $ family $ mode $ window $ scatter $ fusion $ middle
+        (const run $ family $ mode $ window $ scatter $ middle
         $ magazines $ key_bits $ lookup_pct $ threads $ ops $ verify
         $ strategy $ telemetry))
   in

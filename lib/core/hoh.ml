@@ -1,69 +1,60 @@
 type ('r, 'a) outcome = Finish of 'a | Hand_off of 'r
 
-(* Per-thread window budgets. Static mode is the paper's fixed W with the
-   scatter optimization for first windows. Adaptive mode replaces the fixed
-   W with a per-thread controller: the budget grows multiplicatively after
+(* Per-thread window budgets. By default each thread runs its own
+   contention-adaptive controller: the budget grows multiplicatively after
    a window that committed without contention and shrinks multiplicatively
    after one that paid contention aborts (read-validation, lock-busy or
    serial-pending — user retries are the operation's own business), so hot
    traversals converge on the largest window the current conflict rate
-   sustains instead of a compile-time guess. *)
+   sustains instead of a compile-time guess. Static mode is the paper's
+   fixed W. Both apply the scatter optimization to first windows. *)
 module Window = struct
   type t = {
     w : int;
     scatter : bool;
-    seeds : int array;
     adaptive : bool;
-    w_min : int;
-    w_max : int;
-    cur : int array;  (* per-thread live budget; owner-written only *)
-    fusion : int;  (* max windows fused into one transaction; 1 = off *)
-    fcur : int array;  (* per-thread live fuse count; owner-written only *)
+    seeds : int array;  (* per-thread scatter generator, at [slot thread] *)
+    cur : int array;  (* per-thread live budget, at [slot thread] *)
   }
 
-  let create ?(scatter = true) ?(adaptive = false) ?(fusion = 1) w =
+  (* Every thread writes its [cur] word after each window and its [seeds]
+     word once per operation. Striding the per-thread words [Pad.words]
+     apart keeps them on separate cache lines, so the writes of two
+     domains do not false-share. Each word is owner-written only. *)
+  let[@inline] slot thread = thread * Pad.words
+
+  let create ?(scatter = true) ?(adaptive = true) w =
     if w < 1 then invalid_arg "Hoh.Window.create: w < 1";
-    if fusion < 1 then invalid_arg "Hoh.Window.create: fusion < 1";
+    let n = Tm.Thread.max_threads * Pad.words in
     {
       w;
       scatter;
-      seeds = Array.init Tm.Thread.max_threads (fun i -> (i * 7919) + 17);
       adaptive;
-      w_min = 1;
-      w_max = 4 * w;
-      cur = Array.make Tm.Thread.max_threads w;
-      fusion;
-      fcur = Array.make Tm.Thread.max_threads 1;
+      seeds = Array.init n (fun i -> (i / Pad.words * 7919) + 17);
+      cur = Array.make n w;
     }
 
   let size t = t.w
   let adaptive t = t.adaptive
-  let budget t ~thread = if t.adaptive then t.cur.(thread) else t.w
-  let fusion t = t.fusion
-  let fused t = t.fusion > 1
-  let fuse_budget t ~thread = if t.fusion > 1 then t.fcur.(thread) else 1
+  let budget t ~thread = if t.adaptive then t.cur.(slot thread) else t.w
 
   let record t ~thread ~contended =
     if t.adaptive then begin
-      let c = t.cur.(thread) in
-      t.cur.(thread) <-
-        (if contended then max t.w_min (c / 2) else min t.w_max (2 * c))
-    end;
-    if t.fusion > 1 then begin
-      let k = t.fcur.(thread) in
-      t.fcur.(thread) <-
-        (if contended then max 1 (k / 2) else min t.fusion (2 * k))
+      let i = slot thread in
+      let c = t.cur.(i) in
+      t.cur.(i) <- (if contended then max 1 (c / 2) else min (4 * t.w) (2 * c))
     end
 
   let first_budget t ~thread =
     let b = budget t ~thread in
     if not t.scatter then b
     else begin
-      let s = t.seeds.(thread) in
+      let i = slot thread in
+      let s = t.seeds.(i) in
       let s = s lxor (s lsl 13) in
       let s = s lxor (s lsr 7) in
       let s = s lxor (s lsl 17) in
-      t.seeds.(thread) <- s;
+      t.seeds.(i) <- s;
       1 + (s land max_int) mod b
     end
 end
@@ -76,20 +67,19 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window ?middle step =
   (* The controller's feedback signal: the delta of this thread's
      contention-abort counters across the window transaction, plus whether
      it had to commit serially. Counters are thread-private, so the delta
-     attributes exactly this window's aborts. *)
+     attributes exactly this window's aborts. A window flattened into an
+     enclosing transaction ([attempts = 0], e.g. a fused service batch)
+     reports the enclosing transaction's [serial] flag, which it did not
+     escalate to, so it counts as clean: its reads join the enclosing
+     read set whatever the budget, and a larger budget only saves
+     reservation rounds. *)
   let stats =
     match window with
-    | Some (w, _) when Window.adaptive w || Window.fused w ->
-        Some (Tm.Thread.stats ())
+    | Some (w, _) when Window.adaptive w -> Some (Tm.Thread.stats ())
     | _ -> None
   in
   let rec loop () =
     let c0 = match stats with Some s -> contention_aborts s | None -> 0 in
-    let fuse =
-      match window with
-      | Some (w, thread) -> Window.fuse_budget w ~thread
-      | None -> 1
-    in
     let res =
       Tm.atomic_stamped ?site ?max_attempts ~read_phase ?middle (fun txn ->
           rr.Rr_intf.register txn;
@@ -98,39 +88,21 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window ?middle step =
             | None -> None
             | Some r -> rr.Rr_intf.get txn r
           in
-          (* Window fusion: run up to [fuse] windows back to back inside
-             this one transaction. An intermediate hand-off point needs no
-             reservation — the node was read by this very transaction, so
-             the read-set validation that guards the commit also proves it
-             was not revoked (opacity); only the final window's hand-off
-             pays the release/reserve round, and the whole fused chain
-             pays one gclock stamp. On abort the transaction re-runs from
-             the last {e committed} reservation, exactly as unfused.
-
-             A window that queued deferred work is a fusion barrier: the
-             defers carry protocol state the step only publishes at
-             commit (the dlist two-phase remove, the skiplist resume
-             hint), so the next window must not run in the same
-             transaction or it would observe the pre-commit state. *)
-          let rec windows start k =
-            let d0 = Tm.defers_pending txn in
-            match step txn ~start with
-            | Finish v ->
-                rr.Rr_intf.release_all txn;
-                Finish v
-            | Hand_off r when k > 1 && Tm.defers_pending txn = d0 ->
-                windows (Some r) (k - 1)
-            | Hand_off r ->
-                rr.Rr_intf.release_all txn;
-                rr.Rr_intf.reserve txn r;
-                Hand_off r
-          in
-          windows start fuse)
+          match step txn ~start with
+          | Finish v ->
+              rr.Rr_intf.release_all txn;
+              Finish v
+          | Hand_off r ->
+              rr.Rr_intf.release_all txn;
+              rr.Rr_intf.reserve txn r;
+              Hand_off r)
     in
     (match (window, stats) with
     | Some (w, thread), Some s ->
         Window.record w ~thread
-          ~contended:(res.Tm.serial || contention_aborts s > c0)
+          ~contended:
+            ((res.Tm.serial && res.Tm.attempts > 0)
+            || contention_aborts s > c0)
     | _ -> ());
     match res.Tm.value with
     | Finish v ->

@@ -16,55 +16,38 @@ type ('r, 'a) outcome =
       (** commit this window, reserving the given node as the next start *)
 
 (** Per-thread window budgets with the paper's [scatter] optimization: the
-    first window of an operation spans a random 1..W nodes so that threads
-    starting together do not all try to reserve the same node; subsequent
-    windows span exactly W.
+    first window of an operation spans a random 1..budget nodes so that
+    threads starting together do not all try to reserve the same node;
+    subsequent windows span the full budget.
 
-    With [adaptive] set, the static W becomes a per-thread controller that
-    MIMD-adjusts the live budget from contention feedback: a window that
-    commits without contention aborts doubles it (up to [4 * w]); one that
-    pays read-validation / lock-busy / serial-pending aborts, or commits
-    serially, halves it (down to 1). The feedback is recorded by
-    {!apply} when the window is passed to it.
-
-    With [fusion = k > 1], the same feedback drives a second per-thread
-    controller over window {e count}: after clean commits, up to the live
-    fuse budget (1..k, doubling on clean, halving on contention) of
-    consecutive windows run inside one transaction — one gclock stamp and
-    one release/reserve round per fused chain instead of per window. A
-    window step that queues {!Tm.defer} work ends its fused chain (the
-    defers publish protocol state at commit, which the next window must
-    observe), so only pure traversal windows fuse. *)
+    By default the budget is a per-thread controller that MIMD-adjusts
+    itself from contention feedback: a window that commits without
+    contention aborts doubles it (up to [4 * w]); one that pays
+    read-validation / lock-busy / serial-pending aborts, or escalates to
+    the serial fallback, halves it (down to 1). The feedback is recorded
+    by {!apply} when the window is passed to it. With [~adaptive:false] the budget is
+    the paper's static W, which the figure benchmarks and the pinned
+    deterministic-schedule scenarios rely on. *)
 module Window : sig
   type t
 
-  val create : ?scatter:bool -> ?adaptive:bool -> ?fusion:int -> int -> t
-  (** [create w] with [w >= 1]; [scatter] defaults to [true], [adaptive]
-      to [false], [fusion] to [1] (off; must be [>= 1]). [w] is the static
-      budget, and the adaptive controller's starting point and
-      quarter-ceiling; [fusion] is the fuse controller's ceiling. *)
+  val create : ?scatter:bool -> ?adaptive:bool -> int -> t
+  (** [create w] with [w >= 1]; [scatter] and [adaptive] default to
+      [true]. [w] is the static budget, and the adaptive controller's
+      starting point and quarter-ceiling. *)
 
   val size : t -> int
   (** The static [w], regardless of adaptation. *)
 
   val adaptive : t -> bool
 
-  val fusion : t -> int
-  (** The fusion ceiling [k] ([1] when fusion is off). *)
-
-  val fused : t -> bool
-
   val budget : t -> thread:int -> int
   (** The live budget for a continuation window: [thread]'s adapted value,
       or [w] when not adaptive. *)
 
-  val fuse_budget : t -> thread:int -> int
-  (** How many consecutive windows [thread]'s next transaction may fuse
-      ([1] when fusion is off or after recent contention). *)
-
   val record : t -> thread:int -> contended:bool -> unit
-  (** Feed one committed window's outcome to [thread]'s controller(s);
-      no-op when neither adaptive nor fused. *)
+  (** Feed one committed window's outcome to [thread]'s controller; no-op
+      when not adaptive. *)
 
   val first_budget : t -> thread:int -> int
   (** Budget for an operation's first window: uniform in [1..budget] when
@@ -92,14 +75,11 @@ val apply :
     the pure-traversal hint (locked reads wait instead of aborting; no
     serial escalation — see {!Tm.atomic}).
 
-    [window] is [(w, thread)]: when [w] is adaptive or fused, every window
+    [window] is [(w, thread)]: when [w] is adaptive, every window
     transaction's contention outcome is fed back to [thread]'s budget
-    controller(s) via {!Window.record}. The step callback still chooses
-    its own budgets (via {!Window.budget} / {!Window.first_budget});
-    passing [window] closes the feedback loop, and with [fusion > 1] also
-    lets the engine run {!Window.fuse_budget} consecutive windows inside
-    one transaction (intermediate hand-offs carry no reservation — the
-    fused transaction's own read-set validation protects them).
+    controller via {!Window.record}. The step callback still chooses its
+    own budgets (via {!Window.budget} / {!Window.first_budget}); passing
+    [window] closes the feedback loop.
 
     [middle] is forwarded to {!Tm.atomic} as the structure's middle-path
     lock for every window transaction of this operation. *)

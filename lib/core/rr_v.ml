@@ -68,7 +68,7 @@ let reserve t txn r =
   match holding t txn cells r with
   | Some c -> Tm.set_local txn c (Some (r, vt))
   | None -> (
-      match find_slot t txn cells (fun v -> v = None) with
+      match find_slot t txn cells Option.is_none with
       | None -> invalid_arg "Rr_v.reserve: reservation set full"
       | Some c -> Tm.set_local txn c (Some (r, vt)))
 
@@ -80,7 +80,8 @@ let release t txn r =
 
 let release_all t txn =
   Array.iter
-    (fun c -> if Tm.get_local txn c <> None then Tm.set_local txn c None)
+    (fun c ->
+      if Option.is_some (Tm.get_local txn c) then Tm.set_local txn c None)
     (slots t txn)
 
 let get t txn r =

@@ -107,7 +107,7 @@ module Inject : sig
         partial write behind (see DESIGN.md decision 10).
       - [Stale_cache]: bug #5 — the service layer skips the hot-cache
         epoch bump after a write commits, so cache hits can serve values
-        older than the shard's last committed stamp (caught by the TxSan
+        older than their key's last committed write (caught by the TxSan
         stale-cache-hit rule; see DESIGN.md decision 13). *)
   type bug =
     | Snapshot_straddle

@@ -14,7 +14,6 @@ module Spec = struct
     window : int option;
     scatter : bool option;
     adaptive : bool option;
-    fusion : int option;
     middle : bool option;
     magazines : bool option;
     strategy : Mempool.strategy option;
@@ -29,7 +28,7 @@ module Spec = struct
     slo_us : int option;
   }
 
-  let v ?window ?scatter ?adaptive ?fusion ?middle ?magazines ?strategy
+  let v ?window ?scatter ?adaptive ?middle ?magazines ?strategy
       ?rr_config ?max_attempts ?buckets ?split_unlink ?shards ?fuse ?pool
       ?hotcache ?slo_us structure kind =
     (match buckets with
@@ -44,10 +43,6 @@ module Spec = struct
     | Some n when n < 1 ->
         invalid_arg "Factories.Spec.v: shards must be >= 1"
     | _ -> ());
-    (match fusion with
-    | Some k when k < 1 ->
-        invalid_arg "Factories.Spec.v: fusion must be >= 1"
-    | _ -> ());
     (match slo_us with
     | Some us when us < 1 ->
         invalid_arg "Factories.Spec.v: slo_us must be >= 1"
@@ -60,7 +55,6 @@ module Spec = struct
       window;
       scatter;
       adaptive;
-      fusion;
       middle;
       magazines;
       strategy;
@@ -99,11 +93,6 @@ module Spec = struct
       | Slist | Dlist | Bst_int | Bst_ext -> k
       | Hashset -> k ^ "-hash"
       | Skiplist -> k ^ "-skip"
-    in
-    let base =
-      match t.fusion with
-      | Some k when k > 1 -> Printf.sprintf "%s+fuse%d" base k
-      | _ -> base
     in
     let base = if t.middle = Some true then base ^ "+mid" else base in
     let base = if t.magazines = Some true then base ^ "+mag" else base in
@@ -152,7 +141,6 @@ module Spec = struct
       :: (opt "window" (fun i -> J.Int i) t.window
       @@ opt "scatter" (fun b -> J.Bool b) t.scatter
       @@ opt "adaptive" (fun b -> J.Bool b) t.adaptive
-      @@ opt "fusion" (fun i -> J.Int i) t.fusion
       @@ opt "middle" (fun b -> J.Bool b) t.middle
       @@ opt "magazines" (fun b -> J.Bool b) t.magazines
       @@ opt "strategy" (fun s -> J.String (Mempool.strategy_name s)) t.strategy
@@ -209,7 +197,6 @@ module Spec = struct
     let* window = optional "window" J.to_int in
     let* scatter = optional "scatter" J.to_bool in
     let* adaptive = optional "adaptive" J.to_bool in
-    let* fusion = optional "fusion" J.to_int in
     let* middle = optional "middle" J.to_bool in
     let* magazines = optional "magazines" J.to_bool in
     let* strategy =
@@ -227,7 +214,7 @@ module Spec = struct
     let* slo_us = optional "slo_us" J.to_int in
     let* t =
       match
-        v ?window ?scatter ?adaptive ?fusion ?middle ?magazines ?strategy
+        v ?window ?scatter ?adaptive ?middle ?magazines ?strategy
           ?rr_config ?max_attempts ?buckets ?split_unlink ?shards ?fuse ?pool
           ?hotcache ?slo_us structure kind
       with
@@ -246,7 +233,7 @@ module Spec = struct
 end
 
 let make (s : Spec.t) =
-  let { Spec.structure; kind; window; scatter; adaptive; fusion; middle;
+  let { Spec.structure; kind; window; scatter; adaptive; middle;
         magazines; strategy; rr_config; max_attempts; buckets; split_unlink;
         shards = _; fuse = _; pool = _; hotcache = _; slo_us = _ } = s in
   let build () =
@@ -254,29 +241,29 @@ let make (s : Spec.t) =
     | Spec.Slist ->
         Store.of_hoh_list
           (Structs.Hoh_list.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
     | Spec.Dlist ->
         Store.of_hoh_dlist
           (Structs.Hoh_dlist.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts
+             ?middle ?magazines ?strategy ?rr_config ?max_attempts
              ?split_unlink ())
     | Spec.Bst_int ->
         Store.of_bst_int
           (Structs.Hoh_bst_int.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
     | Spec.Bst_ext ->
         Store.of_bst_ext
           (Structs.Hoh_bst_ext.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
     | Spec.Hashset ->
         Store.of_hashset
           (Structs.Hoh_hashset.create ~mode:kind ?buckets ?window ?scatter
-             ?adaptive ?fusion ?middle ?magazines ?strategy ?rr_config
+             ?adaptive ?middle ?magazines ?strategy ?rr_config
              ?max_attempts ())
     | Spec.Skiplist ->
         Store.of_skiplist
           (Structs.Hoh_skiplist.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
   in
   { label = Spec.label s; make = build }
 

@@ -23,10 +23,8 @@ module Spec : sig
     scatter : bool option;  (** scatter window boundaries across threads *)
     adaptive : bool option;
         (** contention-adaptive per-thread window controller
-            ({!Rr.Hoh.Window}); [window] is its starting budget *)
-    fusion : int option;
-        (** window-fusion ceiling: run up to this many consecutive clean
-            windows in one transaction ({!Rr.Hoh.Window}; default 1 = off) *)
+            ({!Rr.Hoh.Window}); [window] is its starting budget. On by
+            default; [Some false] pins the paper's static window *)
     middle : bool option;
         (** retry exhausted speculative attempts under a per-structure
             middle-path lock before the serial rung ({!Tm.Middle}) *)
@@ -59,7 +57,6 @@ module Spec : sig
     ?window:int ->
     ?scatter:bool ->
     ?adaptive:bool ->
-    ?fusion:int ->
     ?middle:bool ->
     ?magazines:bool ->
     ?strategy:Mempool.strategy ->
@@ -78,8 +75,8 @@ module Spec : sig
   (** [v structure kind] builds a spec with every knob at the structure's
       default.
       @raise Invalid_argument if [buckets] or [split_unlink] is given for a
-      structure it does not apply to, [shards < 1], [fusion < 1],
-      [slo_us < 1], or [slo_us] is given without [pool]. *)
+      structure it does not apply to, [shards < 1], [slo_us < 1], or
+      [slo_us] is given without [pool]. *)
 
   val structure_name : structure -> string
   val structure_of_name : string -> structure option
@@ -91,10 +88,10 @@ module Spec : sig
   val label : t -> string
   (** The curve label used in reports: the mode's name, suffixed with
       ["-hash"] / ["-skip"] for the structures the paper plots separately,
-      ["+fuseK"] when [fusion = Some k, k > 1], ["+mid"] / ["+mag"] when
-      the middle path / magazines are on, ["+pool"] / ["+hotcache"] /
-      ["+sloUS"] for the service worker-pool, hot-cache, and admission
-      knobs, and ["/xN"] when sharded ([shards > 1]). *)
+      ["+mid"] / ["+mag"] when the middle path / magazines are on,
+      ["+pool"] / ["+hotcache"] / ["+sloUS"] for the service worker-pool,
+      hot-cache, and admission knobs, and ["/xN"] when sharded
+      ([shards > 1]). The window policy ([adaptive]) is not shown. *)
 
   val to_json : t -> Telemetry.Json.t
   (** Data form of a spec. The emitted object leads with a derived

@@ -1002,7 +1002,7 @@ let cache_hit_slow ~thread ~shard ~stamp ~last_write =
           ~subject:(Printf.sprintf "shard #%d" shard)
           ~detail:
             (Printf.sprintf
-               "cache hit served stamp %d but the shard's last committed \
+               "cache hit served stamp %d but its slot's last committed \
                 write is stamp %d (missed invalidation)"
                stamp last_write)
           ~key:min_int;

@@ -242,7 +242,7 @@ val ep_leave : thread:int -> unit
 
 val cache_hit : thread:int -> shard:int -> stamp:int -> last_write:int -> unit
 (** A hot-cache hit is about to serve the cached reply committed at
-    [stamp]; [last_write] is the shard's last committed write stamp as
-    published by the invalidation protocol. [stamp < last_write] means an
+    [stamp]; [last_write] is the last committed write stamp of the
+    entry's cache slot as published by the invalidation protocol. [stamp < last_write] means an
     invalidation was missed and the hit is stale ({!Stale_cache_hit}).
     Delivered eagerly — cache hits happen outside any transaction. *)

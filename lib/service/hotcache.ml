@@ -1,20 +1,22 @@
 (* Hot-key read cache in front of the service router.
 
-   One small direct-mapped table per shard, versioned by a per-shard
-   invalidation epoch instead of per-key deletion: a populated entry
-   remembers the epoch observed *before* its lookup transaction ran, and
-   a hit is valid only while the shard's epoch is unchanged. Any write
-   committing against the shard bumps the epoch (while the shard gate is
-   still held), which invalidates every cached entry of that shard at
-   once — cheap for writers, and immune to the populate/invalidate race:
-   a reply populated concurrently with a write carries the pre-write
-   epoch and can never be served (DESIGN.md, decision 13).
+   One small direct-mapped table per shard, versioned by invalidation
+   epochs instead of per-key deletion. Each shard keeps a write counter
+   [epoch]; every write committing against the shard advances it and
+   records the new value as its slot's [bumped] epoch (a CAS-max, while
+   the shard gate is still held). A populated entry remembers the shard
+   epoch observed *before* its lookup transaction ran, and a hit is valid
+   only while no write to the entry's slot has bumped past it. So a write
+   invalidates the entries of its own slot, not the whole shard, and the
+   populate/invalidate race stays closed: a reply populated concurrently
+   with a write to its key carries a pre-write epoch and can never be
+   served (DESIGN.md, decision 13).
 
-   Freshness is checkable: alongside the epoch the shard publishes the
-   stamp of its last committed write (bumped first, so a matching epoch
+   Freshness is checkable: alongside the bumped epoch each slot publishes
+   the stamp of its last committed write (bumped first, so a valid entry
    implies the published stamp predates the entry's lookup). On every hit
-   the TxSan hook asserts [entry stamp >= last committed write stamp];
-   the [Stale_cache] injected bug (skip the bump) trips it. *)
+   the TxSan hook asserts [entry stamp >= slot's last committed write
+   stamp]; the [Stale_cache] injected bug (skip the bump) trips it. *)
 
 open Harness
 
@@ -27,8 +29,11 @@ type entry = {
 }
 
 type shard = {
-  epoch : int Atomic.t;
-  last_write : int Atomic.t;  (** max commit stamp of any write, CAS-maxed *)
+  epoch : int Atomic.t;  (** write counter, advanced by every bump *)
+  bumped : int Atomic.t array;
+      (** per slot: epoch of its last bump, CAS-maxed *)
+  last_write : int Atomic.t array;
+      (** per slot: max commit stamp of any write, CAS-maxed *)
   slots : entry option Atomic.t array;
 }
 
@@ -55,7 +60,8 @@ let create ?(capacity = default_capacity) ~shards () =
       Array.init shards (fun _ ->
           {
             epoch = Pad.atomic 0;
-            last_write = Pad.atomic 0;
+            bumped = Array.init cap (fun _ -> Atomic.make 0);
+            last_write = Array.init cap (fun _ -> Atomic.make 0);
             slots = Array.init cap (fun _ -> Atomic.make None);
           });
     hits = Pad.atomic 0;
@@ -66,15 +72,17 @@ let create ?(capacity = default_capacity) ~shards () =
 let epoch t ~shard = Atomic.get t.shards.(shard).epoch
 
 (* Lookup for a single-key [Get]. A hit returns the cached reply; the
-   entry is valid only when populated under the current epoch. *)
+   entry is valid only when no write to its slot was bumped past the
+   epoch it was populated under. *)
 let find t ~shard ~thread key =
   let s = t.shards.(shard) in
+  let i = key land t.mask in
   Dst.point Dst.Svc_cache;
-  match Atomic.get s.slots.(key land t.mask) with
-  | Some e when e.e_key = key && e.e_epoch = Atomic.get s.epoch ->
+  match Atomic.get s.slots.(i) with
+  | Some e when e.e_key = key && e.e_epoch >= Atomic.get s.bumped.(i) ->
       Atomic.incr t.hits;
       San.cache_hit ~thread ~shard ~stamp:e.e_stamp
-        ~last_write:(Atomic.get s.last_write);
+        ~last_write:(Atomic.get s.last_write.(i));
       Some
         {
           Store.outcome = (if e.e_present then Store.Found else Store.Absent);
@@ -86,9 +94,9 @@ let find t ~shard ~thread key =
       None
 
 (* Populate from a lookup reply. [epoch0] must have been read (via
-   {!epoch}) before the lookup transaction started: if a write committed
-   since, the current epoch has moved past [epoch0] and the entry is
-   stillborn — present but never served. *)
+   {!epoch}) before the lookup transaction started: if a write to the
+   entry's slot committed since, the slot's bumped epoch has moved past
+   [epoch0] and the entry is stillborn — present but never served. *)
 let note t ~shard ~epoch0 key (r : Store.reply) =
   match r.Store.outcome with
   | Store.Found | Store.Absent ->
@@ -105,30 +113,32 @@ let note t ~shard ~epoch0 key (r : Store.reply) =
            })
   | _ -> ()
 
-(* A write committed at [stamp] against [shard]: invalidate. The epoch
-   bump comes first so no hit can observe the new last-write stamp while
-   an entry from before the write still validates. Callers hold the
-   shard's gate (shared for singles/batches, exclusive for 2PC applies),
-   but writers under the shared gate may bump concurrently — hence
-   atomics, and a CAS-max for the published stamp. *)
-let bump t ~shard ~stamp =
+let rec cas_max a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then cas_max a v
+
+(* A write of [key] committed at [stamp] against [shard]: invalidate the
+   key's slot. The epoch bump comes first so no hit can observe the new
+   last-write stamp while an entry from before the write still validates.
+   Callers hold the shard's gate (shared for singles/batches, exclusive
+   for 2PC applies), but writers under the shared gate may bump
+   concurrently — hence atomics, and CAS-max for both per-slot words: a
+   writer that drew a smaller epoch must not pull the slot's bumped epoch
+   back under one a later write already published. *)
+let bump t ~shard ~key ~stamp =
   let s = t.shards.(shard) in
+  let i = key land t.mask in
   (* The [Stale_cache] injected bug models a writer that forgets to
-     invalidate: the epoch bump is skipped, leaving the shard's cached
-     entries servable. The published last-write stamp still advances —
+     invalidate: the epoch bump is skipped, leaving the slot's cached
+     entry servable. The published last-write stamp still advances —
      it is the freshness ground truth the TxSan hit check compares
      against, which is exactly what makes the forgotten invalidation
      detectable at the next hit. *)
   if not (Dst.Inject.bug Dst.Inject.Stale_cache) then begin
-    Atomic.incr s.epoch;
+    cas_max s.bumped.(i) (Atomic.fetch_and_add s.epoch 1 + 1);
     Atomic.incr t.invalidations
   end;
-  let rec max_loop () =
-    let cur = Atomic.get s.last_write in
-    if stamp > cur && not (Atomic.compare_and_set s.last_write cur stamp) then
-      max_loop ()
-  in
-  max_loop ()
+  cas_max s.last_write.(i) stamp
 
 let stats t =
   [

@@ -15,9 +15,9 @@
 
    - a hot-key read cache ({!Hotcache}): single-key Gets are answered
      from a per-shard versioned table when valid, skipping the gate and
-     the transaction entirely; every write path bumps the owning shard's
-     invalidation epoch while its gate is still held (a 2PC multi bumps
-     every touched shard before releasing any gate);
+     the transaction entirely; every write path bumps its key's slot in
+     the owning shard's table while its gate is still held (a 2PC multi
+     bumps every key it writes before releasing any gate);
    - per-shard worker pools ({!Pool}): {!submit} enqueues an operation
      group on the owning shard's bounded queue and returns a ticket; the
      shard's worker drains the queue head into one fused batch;
@@ -123,14 +123,14 @@ let with_shared t s f =
 
 (* ---- hot-cache maintenance ---- *)
 
-(* A write committed at [stamp] against [shard]: invalidate the shard's
-   cache. Callers still hold the shard's gate. The [Stale_cache] injected
-   bug (handled inside {!Hotcache.bump}) skips the invalidation while
-   the published last-write stamp still advances — the TxSan freshness
-   rule catches the resulting stale hits. *)
-let bump_cache t ~shard ~stamp =
+(* A write of [key] committed at [stamp] against [shard]: invalidate the
+   key's cache slot. Callers still hold the shard's gate. The
+   [Stale_cache] injected bug (handled inside {!Hotcache.bump}) skips the
+   invalidation while the published last-write stamp still advances —
+   the TxSan freshness rule catches the resulting stale hits. *)
+let bump_cache t ~shard ~key ~stamp =
   match t.cache with
-  | Some c -> Hotcache.bump c ~shard ~stamp
+  | Some c -> Hotcache.bump c ~shard ~key ~stamp
   | None -> ()
 
 (* Post-batch cache maintenance, run while the shard's gate is held:
@@ -145,7 +145,8 @@ let cache_after_batch t ~shard ~epoch0 ops replies =
         (fun i (r : Store.reply) ->
           match r.Store.outcome with
           | Store.Inserted | Store.Removed ->
-              bump_cache t ~shard ~stamp:r.Store.stamp
+              bump_cache t ~shard ~key:(Store.op_key ops.(i))
+                ~stamp:r.Store.stamp
           | Store.Found | Store.Absent -> (
               match ops.(i) with
               | Store.Get k -> Hotcache.note cache ~shard ~epoch0 k r
@@ -262,7 +263,8 @@ let exec_point t ~thread op =
           let r = Store.exec t.stores.(s) ~thread op in
           (match r.Store.outcome with
           | Store.Inserted | Store.Removed ->
-              bump_cache t ~shard:s ~stamp:r.Store.stamp
+              bump_cache t ~shard:s ~key:(Store.op_key op)
+                ~stamp:r.Store.stamp
           | _ -> ());
           r)
 
@@ -380,9 +382,9 @@ let rollback t ~thread intent =
     match !state with
     | Applied (Some undo) ->
         let r = Store.exec t.stores.(s) ~thread undo in
-        (* the compensation is a write too: invalidate the shard's cache
+        (* the compensation is a write too: invalidate its cache slot
            before the gate drops *)
-        bump_cache t ~shard:s ~stamp:r.Store.stamp;
+        bump_cache t ~shard:s ~key:(Store.op_key undo) ~stamp:r.Store.stamp;
         state := Pending
     | Applied None -> state := Pending
     | Applying | Pending -> state := Pending
@@ -463,7 +465,7 @@ let multi t ~thread ops =
            (* invalidate while this shard's exclusive gate (and every
               other touched shard's) is still held: no cache hit can
               observe a partially-visible multi *)
-           bump_cache t ~shard:s ~stamp:r.Store.stamp;
+           bump_cache t ~shard:s ~key:(Store.op_key op) ~stamp:r.Store.stamp;
            state := Applied (undo_of op)
      done
    with

@@ -368,17 +368,16 @@ let run_churn ?service ?(verify = true) ?(slo_us = 1000) ~seed ~key_bits
 
 (* ---- DST adversaries ---- *)
 
-(* Both scenarios pin the traversal knobs (small fixed windows, no
-   scatter/adaptive jitter, no fusion) so the delay-armed yield site is
-   reached at a deterministic point of the schedule; the reclaimer under
-   test comes from the caller's spec unchanged. *)
+(* Both scenarios pin the traversal knobs (small static windows, no
+   scatter/adaptive jitter) so the delay-armed yield site is reached at
+   a deterministic point of the schedule; the reclaimer under test comes
+   from the caller's spec unchanged. *)
 let pin_traversal spec =
   {
     spec with
     Spec.window = Some 2;
     scatter = Some false;
     adaptive = Some false;
-    fusion = Some 1;
   }
 
 type stall_result = {

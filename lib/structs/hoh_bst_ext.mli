@@ -17,7 +17,6 @@ val create :
   ?window:int ->
   ?scatter:bool ->
   ?adaptive:bool ->
-  ?fusion:int ->
   ?middle:bool ->
   ?magazines:bool ->
   ?strategy:Mempool.strategy ->

@@ -9,7 +9,7 @@ type t = {
   max_attempts : int option;
 }
 
-let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?(window = 16) ?(scatter = true) ?adaptive
     ?(middle = false) ?magazines ?strategy ?rr_config ?(max_attempts = 8) () =
   (match mode with
   | Mode.Tmhp | Mode.Ref | Mode.Ebr ->
@@ -26,7 +26,7 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   {
     mode;
     root = Tnode.sentinel ~key:max_int;
-    window = Window.create ~scatter ?adaptive ?fusion window;
+    window = Window.create ~scatter ?adaptive window;
     middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts = Some max_attempts;

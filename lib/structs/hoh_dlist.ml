@@ -10,7 +10,7 @@ type t = {
   split_unlink : bool;
 }
 
-let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?(window = 8) ?(scatter = true) ?adaptive
     ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
     ?max_attempts ?(split_unlink = true) () =
   let pool = Lnode.make_pool ?strategy ?magazines () in
@@ -24,7 +24,7 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
   {
     mode;
     head = Lnode.sentinel ();
-    window = Window.create ~scatter ?adaptive ?fusion window;
+    window = Window.create ~scatter ?adaptive window;
     middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts;

@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ~mode ?(buckets = 64) ?(window = 8) ?(scatter = true) ?adaptive
-    ?fusion ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
+    ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
     ?max_attempts () =
   if buckets < 1 then invalid_arg "Hoh_hashset.create: buckets < 1";
   let pool = Lnode.make_pool ?strategy ?magazines () in
@@ -24,7 +24,7 @@ let create ~mode ?(buckets = 64) ?(window = 8) ?(scatter = true) ?adaptive
   {
     mode;
     heads = Array.init buckets (fun _ -> Lnode.sentinel ());
-    window = Window.create ~scatter ?adaptive ?fusion window;
+    window = Window.create ~scatter ?adaptive window;
     middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts;

@@ -9,7 +9,7 @@ type t = {
   max_attempts : int option;
 }
 
-let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?(window = 8) ?(scatter = true) ?adaptive
     ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
     ?max_attempts () =
   let pool = Lnode.make_pool ?strategy ?magazines () in
@@ -21,13 +21,13 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
   { mode; head = Lnode.sentinel ();
-    window = Window.create ~scatter ?adaptive ?fusion window;
+    window = Window.create ~scatter ?adaptive window;
     middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool; max_attempts }
 
 let name t = t.mode.Mode.name
 let window_size t = Window.size t.window
-let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
+let budget t ~thread = Window.budget t.window ~thread
 
 (* The [Apply] function of Listing 5. [on_found txn ~prev ~curr] runs when a
    node with the key is found; [on_notfound txn ~prev ~curr] when the key is

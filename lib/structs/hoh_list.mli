@@ -16,7 +16,6 @@ val create :
   ?window:int ->
   ?scatter:bool ->
   ?adaptive:bool ->
-  ?fusion:int ->
   ?middle:bool ->
   ?magazines:bool ->
   ?strategy:Mempool.strategy ->
@@ -26,11 +25,10 @@ val create :
   unit ->
   t
 (** [window] defaults to 8 (the paper's best list setting at high thread
-    counts); [scatter] to [true]; [adaptive] to [false] (when set, the
-    per-thread window controller of {!Rr.Hoh.Window} adjusts the live
-    budget from contention feedback, with [window] as the starting point);
-    [fusion] to 1 (off; [k > 1] lets clean commits fuse up to [k]
-    consecutive windows into one transaction — see {!Rr.Hoh.Window});
+    counts); [scatter] to [true]; [adaptive] to [true] (the per-thread
+    window controller of {!Rr.Hoh.Window} adjusts the live budget from
+    contention feedback, with [window] as the starting point; [false]
+    keeps the paper's static W);
     [middle] to [false] (when set, exhausted speculative attempts retry
     under this structure's middle-path lock before escalating to serial —
     see {!Tm.Middle}); [magazines] to [false] (per-thread magazine caches
@@ -79,6 +77,6 @@ val pool_live : t -> int
 val hazard_metrics : t -> Reclaim.Hazard.metrics option
 val window_size : t -> int
 
-val fuse_budget : t -> thread:int -> int
-(** [thread]'s live window-fusion budget ({!Rr.Hoh.Window.fuse_budget});
-    observability for tests of the shrink-on-abort controller. *)
+val budget : t -> thread:int -> int
+(** [thread]'s live window budget ({!Rr.Hoh.Window.budget}); observability
+    for tests of the shrink-on-contention controller. *)

@@ -10,7 +10,7 @@ type t = {
   seeds : int array;
 }
 
-let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?(window = 16) ?(scatter = true) ?adaptive
     ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
     ?(max_attempts = 8) ?(seed = 42) () =
   (match mode with
@@ -27,7 +27,7 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   {
     mode;
     head = Snode.sentinel ();
-    window = Window.create ~scatter ?adaptive ?fusion window;
+    window = Window.create ~scatter ?adaptive window;
     middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts = Some max_attempts;

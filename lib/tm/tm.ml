@@ -599,8 +599,6 @@ let retry (txn : txn) =
   raise (Abort User_retry)
 
 let defer (txn : txn) f = txn.defers <- f :: txn.defers
-let defers_pending (txn : txn) = List.length txn.defers
-
 let validate_on_commit (txn : txn) = txn.must_validate <- true
 let thread_id (txn : txn) = txn.tid
 let is_serial (txn : txn) = txn.serial

@@ -150,14 +150,6 @@ val defer : txn -> (unit -> unit) -> unit
     transactional allocators defer [free]: Listing 5 calls [delete(curr)]
     inside a transaction, which must not take effect on abort. *)
 
-val defers_pending : txn -> int
-(** Number of callbacks queued by {!defer} on this attempt so far. The
-    window-fusion engine uses the delta across a window step to detect
-    protocol state that only becomes visible after commit (two-phase
-    hand-offs, traversal hints): such a window must end its transaction
-    rather than be fused past, or the next window would run against the
-    pre-commit state. *)
-
 val thread_id : txn -> int
 val is_serial : txn -> bool
 

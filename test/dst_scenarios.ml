@@ -46,7 +46,7 @@ let straddle ~bug () =
 
 (* ---- bug #2: read-only hazard publication race ---- *)
 
-(* TMHP list, window 1, immediate retire-scan. Thread A's hand-off
+(* TMHP list, static window 1, immediate retire-scan. Thread A's hand-off
    transaction is paused between deciding to reserve a node and storing
    the hazard slot; thread B removes that node (retire + scan frees it:
    nothing protects it yet) and recycles it as the tail key 5. Without
@@ -59,7 +59,8 @@ let ro_publication ~bug () =
   Dst.Inject.set_bug Dst.Inject.Ro_publication bug;
   Tm.Thread.reset_ids_for_testing ();
   let l =
-    Hoh_list.create ~mode:Mode.Tmhp ~window:1 ~scatter:false ~hp_threshold:1 ()
+    Hoh_list.create ~mode:Mode.Tmhp ~window:1 ~scatter:false ~adaptive:false
+      ~hp_threshold:1 ()
   in
   let looked = ref true and removed = ref false and inserted = ref false in
   let init () =
@@ -93,7 +94,7 @@ let ro_publication ~bug () =
 
 (* ---- bug #3: stale skiplist hint accepted after recycling ---- *)
 
-(* Precise RR-FA skiplist, window 1, seed 128 chosen so the prefill
+(* Precise RR-FA skiplist, static window 1, seed 128 chosen so the prefill
    towers are 10:1, 20:2, 30:1, 40:2 and the recycled node re-enters at
    height 1. Thread A removes 40 and pauses at the hand-off holding a
    reservation on 30, with preds[1] still pointing at node 20. Thread B
@@ -109,7 +110,7 @@ let stale_hint ~bug () =
   let sl =
     Hoh_skiplist.create
       ~mode:(Mode.Rr_kind (module Rr.Fa))
-      ~window:1 ~scatter:false ~seed:128 ()
+      ~window:1 ~scatter:false ~adaptive:false ~seed:128 ()
   in
   let r40 = ref false and r20 = ref false and i25 = ref false in
   let init () =
@@ -318,26 +319,26 @@ let middle_exclusion ~expect () =
               failwith (Printf.sprintf "Lock_busy storm (%d aborts)" !locky));
   }
 
-(* ---- window fusion: multiplicative shrink on a contended commit ---- *)
+(* ---- adaptive window: multiplicative shrink on a contended commit ---- *)
 
-(* Fusion-4 list, window 1: thread A's lookups fuse up to 4 one-node
-   windows per transaction, doubling the per-thread fuse budget on each
-   clean commit; thread B's scripted updates conflict with a fused
-   traversal, and the contended commit must halve the budget. Both logs
-   feed the stamp-order serializability oracle, so the fused windows also
-   prove they linearize correctly under fire.
+(* Adaptive list (the library default), window 1, so the per-thread
+   budget ranges over 1..4: thread A's lookups double it on each clean
+   window commit until it sits at the ceiling; thread B's scripted updates
+   conflict with one of A's windows, and the contended commit must halve
+   A's budget. Both logs feed the stamp-order serializability oracle, so
+   the adapted windows also prove they linearize correctly under fire.
 
    [expect]: [`Safe] (every schedule: structure invariants + the
-   serializability oracle), [`Probe] (inverted — fail once the final fuse
-   budget shrank below the ceiling; the discovery run), [`Strong] (pinned:
-   the shrink deterministically happened). *)
-let fusion_shrink ~expect () =
+   serializability oracle), [`Probe] (inverted — fail once A's final
+   budget sits below the ceiling; the discovery run), [`Strong] (pinned:
+   A paid a contention abort and its budget was halved). *)
+let window_shrink ~expect () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let l =
     Hoh_list.create
       ~mode:(Mode.Rr_kind (module Rr.V))
-      ~window:1 ~scatter:false ~fusion:4 ()
+      ~window:1 ~scatter:false ()
   in
   let initial = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let init () =
@@ -345,13 +346,14 @@ let fusion_shrink ~expect () =
         List.iter (fun k -> ignore (Hoh_list.insert l ~thread k)) initial)
   in
   let logs = Array.make 2 [] in
-  let a_thread = ref 0 in
+  let a_thread = ref 0 and a_contended = ref 0 in
   let entry op key (result, stamp) =
     { Harness.Serial_check.op; key; result; earliest = stamp; stamp }
   in
   let scripted i script () =
     Tm.Thread.with_registered (fun thread ->
-        if i = 0 then a_thread := thread;
+        let st = Tm.Thread.stats () in
+        Tm.Stats.reset st;
         logs.(i) <-
           List.map
             (fun (op, key) ->
@@ -365,7 +367,13 @@ let fusion_shrink ~expect () =
               | `L ->
                   entry Harness.Workload.Lookup key
                     (Hoh_list.lookup_s l ~thread key))
-            script)
+            script;
+        if i = 0 then begin
+          a_thread := thread;
+          a_contended :=
+            Tm.Stats.aborts_read st + Tm.Stats.aborts_lock st
+            + Tm.Stats.aborts_serial st
+        end)
   in
   let a = scripted 0 [ (`L, 8); (`L, 8) ] in
   let b = scripted 1 [ (`R, 6); (`I, 9) ] in
@@ -381,14 +389,15 @@ let fusion_shrink ~expect () =
          with
         | Ok () -> ()
         | Error e -> failwith e);
-        let budget = Hoh_list.fuse_budget l ~thread:!a_thread in
+        let budget = Hoh_list.budget l ~thread:!a_thread in
         match expect with
         | `Safe -> ()
-        | `Probe -> if budget < 4 then failwith "fuse budget shrank"
+        | `Probe -> if budget < 4 then failwith "window budget shrank"
         | `Strong ->
+            if !a_contended < 1 then failwith "no contention abort on A";
             if budget >= 4 then
               failwith
-                (Printf.sprintf "fuse budget %d did not shrink on abort"
+                (Printf.sprintf "window budget %d did not shrink on abort"
                    budget));
   }
 
@@ -431,9 +440,9 @@ let sched_extend_fail = [| 1; 1; 1 |]
    and commits — one middle fallback, zero serial. *)
 let sched_middle = [| 1; 1; 1; 0; 0; 0; 1; 1; 1; 1; 1 |]
 
-(* fusion shrink, PCT depth 2 over [fusion_shrink ~expect:`Probe] (budget
+(* window shrink, PCT depth 2 over [window_shrink ~expect:`Probe] (budget
    400, <= 6000 runs; found at seed 1155 in 1252 runs): A runs both
-   lookups until its final fused transaction is in flight with a grown
-   budget, then B's remove 6 + insert 9 commit under it; the contended
-   commit halves A's fuse budget below the ceiling. *)
-let sched_fusion = Array.concat [ Array.make 45 0; Array.make 40 1 ]
+   lookups until its final window is in flight with its budget at the
+   ceiling, then B's remove 6 + insert 9 commit under it; the contended
+   commit halves A's budget. *)
+let sched_window = Array.concat [ Array.make 45 0; Array.make 40 1 ]

@@ -290,16 +290,17 @@ let test_middle_safety_oracle () =
        (Dst_scenarios.middle_exclusion ~expect:`Safe)
     = None)
 
-let test_fusion_serializability_oracle () =
-  checkb "fused windows stay stamp-order serializable on every schedule" true
+let test_window_serializability_oracle () =
+  checkb "adapted windows stay stamp-order serializable on every schedule"
+    true
     (Dst.Explore.random_search ~budget:400 ~max_runs:150
-       (Dst_scenarios.fusion_shrink ~expect:`Safe)
+       (Dst_scenarios.window_shrink ~expect:`Safe)
     = None)
 
 (* Documented budgets: a random probe search over
    [middle_exclusion ~expect:`Probe] (budget 300, <= 2000 runs) found the
    middle-path schedule at seed 1 in 22 runs; a PCT depth-2 search over
-   [fusion_shrink ~expect:`Probe] (budget 400, <= 6000 runs) found the
+   [window_shrink ~expect:`Probe] (budget 400, <= 6000 runs) found the
    shrink schedule at seed 1155 in 1252 runs. The minimized traces are
    pinned in Dst_scenarios. *)
 let test_pinned_optimization_paths () =
@@ -316,11 +317,11 @@ let test_pinned_optimization_paths () =
     = (replay (Dst_scenarios.middle_exclusion ~expect:`Strong)
          Dst_scenarios.sched_middle)
         .Dst.Sched.trace);
-  checkb "pinned schedule drives the fuse-budget shrink" false
+  checkb "pinned schedule drives the window-budget shrink" false
     (Dst.Sched.failed
        (replay
-          (Dst_scenarios.fusion_shrink ~expect:`Strong)
-          Dst_scenarios.sched_fusion))
+          (Dst_scenarios.window_shrink ~expect:`Strong)
+          Dst_scenarios.sched_window))
 
 (* ---------------------------------------------------------------- *)
 (* Oracles under adversarial schedules                               *)
@@ -334,7 +335,8 @@ let serializability_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let l =
-    Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) ~window:2 ~scatter:false ()
+    Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) ~window:2 ~scatter:false
+      ~adaptive:false ()
   in
   let initial = [ 2; 4; 6 ] in
   let init () =
@@ -511,7 +513,8 @@ let mempool_accounting_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let l =
-    Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.Fa)) ~window:2 ~scatter:false ()
+    Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.Fa)) ~window:2 ~scatter:false
+      ~adaptive:false ()
   in
   let init () =
     Tm.Thread.with_registered (fun thread ->
@@ -641,7 +644,8 @@ let test_alloc_failure_is_clean () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let l =
-    Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) ~window:2 ~scatter:false ()
+    Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) ~window:2 ~scatter:false
+      ~adaptive:false ()
   in
   let init () =
     Tm.Thread.with_registered (fun thread ->
@@ -727,8 +731,8 @@ let () =
         [
           Alcotest.test_case "middle-path safety oracle" `Quick
             test_middle_safety_oracle;
-          Alcotest.test_case "fused-window serializability oracle" `Quick
-            test_fusion_serializability_oracle;
+          Alcotest.test_case "adaptive-window serializability oracle" `Quick
+            test_window_serializability_oracle;
           Alcotest.test_case "pinned optimization paths" `Quick
             test_pinned_optimization_paths;
         ] );

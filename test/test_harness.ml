@@ -285,20 +285,20 @@ let test_driver_catches_bugs () =
 
 (* ---- raw-speed spec knobs ---- *)
 
-let opt_spec ?fusion ?middle ?magazines () =
-  Factories.Spec.v ?fusion ?middle ?magazines Factories.Spec.Slist
+let opt_spec ?adaptive ?middle ?magazines () =
+  Factories.Spec.v ?adaptive ?middle ?magazines Factories.Spec.Slist
     (Structs.Mode.Rr_kind (module Rr.V))
 
 let test_spec_opt_labels () =
   let label s = Factories.Spec.label s in
   let base = label (opt_spec ()) in
   Alcotest.(check string)
-    "all three knobs suffix in order"
-    (base ^ "+fuse4+mid+mag")
-    (label (opt_spec ~fusion:4 ~middle:true ~magazines:true ()));
+    "both knobs suffix in order"
+    (base ^ "+mid+mag")
+    (label (opt_spec ~middle:true ~magazines:true ()));
   Alcotest.(check string)
-    "fusion 1 is the off state" base
-    (label (opt_spec ~fusion:1 ()));
+    "the window policy leaves the label alone" base
+    (label (opt_spec ~adaptive:false ()));
   Alcotest.(check string)
     "explicit off knobs leave the label alone" base
     (label (opt_spec ~middle:false ~magazines:false ()));
@@ -307,13 +307,15 @@ let test_spec_opt_labels () =
     (label (opt_spec ~middle:true ()))
 
 let test_spec_opt_json_roundtrip () =
-  let s = opt_spec ~fusion:4 ~middle:true ~magazines:true () in
+  let s = opt_spec ~adaptive:false ~middle:true ~magazines:true () in
   let j = Factories.Spec.to_json s in
   (match Factories.Spec.of_json j with
   | Error e -> Alcotest.failf "of_json rejected its own to_json: %s" e
   | Ok s' ->
       checkb "round trip is lossless" true
         (Telemetry.Json.equal j (Factories.Spec.to_json s'));
+      checkb "static window survives" true
+        (s'.Factories.Spec.adaptive = Some false);
       Alcotest.(check string)
         "label survives" (Factories.Spec.label s) (Factories.Spec.label s'));
   (* a tampered label must be caught against the recomputed one *)
@@ -323,7 +325,7 @@ let test_spec_opt_json_roundtrip () =
         Telemetry.Json.Obj
           (List.map
              (fun (k, v) ->
-               if k = "label" then (k, Telemetry.Json.String "RR-V+fuse2")
+               if k = "label" then (k, Telemetry.Json.String "RR-V+mid")
                else (k, v))
              kvs)
     | _ -> Alcotest.fail "to_json is not an object"
@@ -331,18 +333,26 @@ let test_spec_opt_json_roundtrip () =
   checkb "mismatched optimization label rejected" true
     (Result.is_error (Factories.Spec.of_json tampered))
 
+(* Window fusion is deleted: a document written while it existed names
+   it in its label, which no current spec derives, so it is rejected
+   rather than silently run without the knob. *)
 let test_spec_opt_validation () =
-  checkb "fusion < 1 rejected" true
-    (match opt_spec ~fusion:0 () with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  let module J = Telemetry.Json in
+  let fused =
+    J.Obj
+      [
+        ("label", J.String "RR-V+fuse4");
+        ("structure", J.String "slist");
+        ("kind", J.String "RR-V");
+        ("fusion", J.Int 4);
+      ]
+  in
+  checkb "fused document rejected" true
+    (Result.is_error (Factories.Spec.of_json fused))
 
-(* The knobs must reach the structures: driver runs with all three on
-   must stay serializable. Beyond the plain list this sweeps the
-   structures whose window protocols publish state through [Tm.defer]
-   (the dlist two-phase remove, the skiplist resume hint) — fused
-   windows must treat those as fusion barriers, or the next window runs
-   against pre-commit state (a real bug this test caught). *)
+(* The knobs must reach the structures: driver runs of every structure
+   with the default window controller plus the middle path and magazines
+   must stay serializable. *)
 let test_driver_all_optimizations_on () =
   Tm.Thread.with_registered (fun _ ->
       let spec =
@@ -353,21 +363,21 @@ let test_driver_all_optimizations_on () =
         (fun structure ->
           let h =
             (Factories.make
-               (Factories.Spec.v ~fusion:4 ~middle:true ~magazines:true
-                  structure
+               (Factories.Spec.v ~middle:true ~magazines:true structure
                   (Structs.Mode.Rr_kind (module Rr.V))))
               .Factories.make ()
           in
           let r = Driver.run spec h in
           checkb
             (Factories.Spec.structure_name structure
-            ^ " serializable with fuse+mid+mag")
+            ^ " serializable with adaptive+mid+mag")
             true
             (r.Driver.verdict = Ok ());
           check "ops counted" 2000 r.Driver.total_ops)
         [
-          Factories.Spec.Slist; Factories.Spec.Dlist; Factories.Spec.Skiplist;
-          Factories.Spec.Hashset;
+          Factories.Spec.Slist; Factories.Spec.Dlist; Factories.Spec.Bst_int;
+          Factories.Spec.Bst_ext; Factories.Spec.Hashset;
+          Factories.Spec.Skiplist;
         ])
 
 (* ---- reporting ---- *)

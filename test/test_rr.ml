@@ -545,8 +545,8 @@ let test_window_invalid () =
 
 let test_window_adaptive () =
   let module W = Rr.Hoh.Window in
-  let w = W.create ~adaptive:true 8 in
-  checkb "adaptive flag" true (W.adaptive w);
+  let w = W.create 8 in
+  checkb "adaptive by default" true (W.adaptive w);
   Alcotest.(check int) "static size unchanged" 8 (W.size w);
   Alcotest.(check int) "starts at w" 8 (W.budget w ~thread:0);
   (* MIMD: clean windows double the live budget, up to 4w. *)
@@ -570,11 +570,27 @@ let test_window_adaptive () =
     let b = W.first_budget w ~thread:2 in
     checkb "scatter within live budget" true (b >= 1 && b <= 16)
   done;
-  (* A non-adaptive window ignores feedback. *)
-  let s = W.create ~scatter:false 8 in
-  checkb "not adaptive by default" false (W.adaptive s);
+  (* Liveness: no record sequence latches the controller. A budget
+     driven to the floor by contention climbs back to 4w on clean
+     windows, in log2(4w) steps. *)
+  let l = W.create 8 in
+  for _ = 1 to 20 do
+    W.record l ~thread:0 ~contended:true
+  done;
+  Alcotest.(check int) "driven to 1" 1 (W.budget l ~thread:0);
+  for _ = 1 to 5 do
+    W.record l ~thread:0 ~contended:false
+  done;
+  Alcotest.(check int) "back to 4w" 32 (W.budget l ~thread:0);
+  (* The paper's static W ignores feedback in both directions. *)
+  let s = W.create ~scatter:false ~adaptive:false 8 in
+  checkb "static on request" false (W.adaptive s);
   W.record s ~thread:0 ~contended:false;
-  Alcotest.(check int) "static budget fixed" 8 (W.budget s ~thread:0)
+  Alcotest.(check int) "static budget fixed on clean" 8 (W.budget s ~thread:0);
+  W.record s ~thread:0 ~contended:true;
+  Alcotest.(check int) "static budget fixed on contention" 8
+    (W.budget s ~thread:0);
+  Alcotest.(check int) "static first window" 8 (W.first_budget s ~thread:0)
 
 let test_spec_model () =
   let m = Rr.Spec_model.create ~equal:Int.equal () in

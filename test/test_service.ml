@@ -915,14 +915,25 @@ let test_hotcache_unit () =
         (r.Store.outcome = Store.Found && r.Store.stamp = 9
        && r.Store.earliest = 7)
   | None -> Alcotest.fail "expected a hit");
-  (* a writer bump invalidates the whole shard *)
-  H.bump hc ~shard:0 ~stamp:12;
+  (* a write to another slot of the shard leaves the entry serving *)
+  H.bump hc ~shard:0 ~key:6 ~stamp:10;
+  checkb "other-slot bump keeps the entry" true
+    (H.find hc ~shard:0 ~thread:0 5 <> None);
+  (* a write to the key's slot invalidates it *)
+  H.bump hc ~shard:0 ~key:5 ~stamp:12;
   checkb "invalidated after bump" true (H.find hc ~shard:0 ~thread:0 5 = None);
   (* stillborn populate: an epoch sampled before a write never serves *)
   let e1 = H.epoch hc ~shard:0 in
-  H.bump hc ~shard:0 ~stamp:15;
+  H.bump hc ~shard:0 ~key:5 ~stamp:15;
   H.note hc ~shard:0 ~epoch0:e1 5 (reply Store.Absent);
   checkb "stale populate never serves" true
+    (H.find hc ~shard:0 ~thread:0 5 = None);
+  (* ... nor does one sampled before a write to a colliding key: the
+     slot, not the key, carries the epoch *)
+  let e2 = H.epoch hc ~shard:0 in
+  H.bump hc ~shard:0 ~key:(5 + 16) ~stamp:16;
+  H.note hc ~shard:0 ~epoch0:e2 5 (reply Store.Absent);
+  checkb "slot-collision populate never serves" true
     (H.find hc ~shard:0 ~thread:0 5 = None);
   (* only lookup replies populate *)
   H.note hc ~shard:1 ~epoch0:(H.epoch hc ~shard:1) 3 (reply Store.Inserted);
@@ -931,10 +942,10 @@ let test_hotcache_unit () =
   H.note hc ~shard:1 ~epoch0:(H.epoch hc ~shard:1) 3 (reply Store.Found);
   checkb "per-shard isolation" true (H.find hc ~shard:1 ~thread:0 3 <> None);
   let stats = H.stats hc in
-  check "invalidations counted" 2 (List.assoc "cache_invalidations" stats);
-  check "hits counted" 2 (List.assoc "cache_hits" stats);
-  check "misses counted" 4 (List.assoc "cache_misses" stats);
-  checkb "hit rate" true (abs_float (H.hit_rate hc -. (2. /. 6.)) < 1e-9)
+  check "invalidations counted" 4 (List.assoc "cache_invalidations" stats);
+  check "hits counted" 3 (List.assoc "cache_hits" stats);
+  check "misses counted" 5 (List.assoc "cache_misses" stats);
+  checkb "hit rate" true (abs_float (H.hit_rate hc -. (3. /. 8.)) < 1e-9)
 
 let test_service_cache_hits () =
   Dst.Inject.clear ();
@@ -949,20 +960,25 @@ let test_service_cache_hits () =
     ((Service.exec svc ~thread (Store.Get k)).Store.outcome = Store.Found);
   check "one hit" 1 (List.assoc "cache_hits" (Service.counters svc));
   checkb "hit rate positive" true (Service.cache_hit_rate svc > 0.);
-  (* any same-shard write invalidates the cached entry *)
+  (* a same-shard write of another key leaves the entry serving ... *)
   let k2 = key_in_shard svc ~shard:0 ~avoid:[ k ] in
   ignore (Service.exec svc ~thread (Store.Insert k2));
-  checkb "invalidated entry re-misses" true
+  checkb "other key's write keeps the entry" true
     ((Service.exec svc ~thread (Store.Get k)).Store.outcome = Store.Found);
-  check "still one hit" 1 (List.assoc "cache_hits" (Service.counters svc));
+  check "two hits" 2 (List.assoc "cache_hits" (Service.counters svc));
+  (* ... and a write of the key itself invalidates it *)
+  ignore (Service.exec svc ~thread (Store.Remove k));
+  checkb "invalidated entry re-misses" true
+    ((Service.exec svc ~thread (Store.Get k)).Store.outcome = Store.Absent);
+  check "still two hits" 2 (List.assoc "cache_hits" (Service.counters svc));
   checkb "invalidations counted" true
-    (List.assoc "cache_invalidations" (Service.counters svc) >= 1);
+    (List.assoc "cache_invalidations" (Service.counters svc) >= 2);
   (* a lone cached Get completes inline through submit, pool or not *)
   (match Service.submit svc ~thread [| Store.Get k |] with
   | Service.Done rs ->
-      checkb "inline cache hit" true (rs.(0).Store.outcome = Store.Found)
+      checkb "inline cache hit" true (rs.(0).Store.outcome = Store.Absent)
   | _ -> Alcotest.fail "expected an inline completion");
-  check "two hits" 2 (List.assoc "cache_hits" (Service.counters svc));
+  check "three hits" 3 (List.assoc "cache_hits" (Service.counters svc));
   Service.finalize_thread svc ~thread;
   Service.drain svc
 

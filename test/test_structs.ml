@@ -360,6 +360,28 @@ let test_rr_v_lookup_read_only () =
         (Structs.Hoh_list.lookup l ~thread:tid 33);
       check "clock unchanged by lookups" before (Tm.clock ()))
 
+(* Windows flattened into an enclosing serial transaction (a fused
+   service batch) report that transaction's [serial] flag, but they did
+   not escalate to it: they count as clean, so the budget grows to its
+   ceiling (4w) instead of collapsing to 1. *)
+let test_adaptive_window_feedback () =
+  Tm.Thread.with_registered (fun tid ->
+      let l =
+        Structs.Hoh_list.create
+          ~mode:(Structs.Mode.Rr_kind (module Rr.V))
+          ~window:2 ~scatter:false ()
+      in
+      check "starts at w" 2 (Structs.Hoh_list.budget l ~thread:tid);
+      Tm.atomic ~max_attempts:0 (fun _ ->
+          for k = 1 to 32 do
+            ignore (Structs.Hoh_list.insert l ~thread:tid k)
+          done;
+          for k = 1 to 32 do
+            ignore (Structs.Hoh_list.lookup l ~thread:tid k)
+          done);
+      check "flattened serial windows grow the budget" 8
+        (Structs.Hoh_list.budget l ~thread:tid))
+
 let test_bst_int_two_child_removal () =
   Tm.Thread.with_registered (fun tid ->
       let t =
@@ -629,6 +651,8 @@ let () =
             test_rr_list_reclaims_immediately;
           Alcotest.test_case "rr-v: lookups commit read-only" `Quick
             test_rr_v_lookup_read_only;
+          Alcotest.test_case "adaptive window feedback" `Quick
+            test_adaptive_window_feedback;
           Alcotest.test_case "bst-int: two-child removal" `Quick
             test_bst_int_two_child_removal;
           Alcotest.test_case "bst-int: degenerate chain" `Quick
