@@ -4,14 +4,45 @@ type abort_cause = Read_invalid | Lock_busy | Serial_pending | User_retry
 
 exception Abort of abort_cause
 
-(* A tvar couples a TL2 versioned lock word with the value cell. The lock
-   word encodes [version lsl 1 lor locked]. The value lives in its own
-   [Atomic.t] so the seqlock pattern (lock, value, lock) is free of plain
-   data races under the OCaml memory model. *)
-type 'a tvar = { lock : int Atomic.t; cell : 'a Atomic.t; uid : int }
+(* A tvar is one heap block: the TL2 versioned lock word, the value and
+   the uid. The lock word encodes [version lsl 1 lor locked] and sits at
+   field 0, so [lock_of] views the tvar itself as an [int Atomic.t]: the
+   [%atomic_*] primitives address field 0 of whatever block they are given
+   (the idiom [Pad.atomic] relies on for its wider blocks). The lock is
+   touched only through those primitives; the record field is never read
+   or written as a plain field.
+
+   The value is a plain mutable field. Writers store it only while holding
+   the lock (commit publication, serial writes, [poke]): lock-odd store,
+   value store, lock-even store with a fresh version. Readers load it
+   between two atomic loads of the lock (a seqlock), which is sound under
+   the OCaml memory model:
+
+   - an atomic load of the lock acquires the frontier of the store it
+     reads, so a reader that sees the last committer's even word cannot
+     read a value older than the one that committer published;
+   - a plain read that sees a newer value reads a write that came earlier
+     in the interleaving, and that writer's lock-odd store came before its
+     value store. The second lock load therefore reads that odd word or a
+     later one with a higher version, differs from the first, and the read
+     retries. (A serial transaction that writes a tvar twice reuses its
+     stamp, but that stamp exceeds the [rv] of every speculative reader
+     overlapping it — see [sample_rv] — so such a read fails its version
+     check instead.)
+
+   So a read that returns has seen exactly the value published under the
+   word it logged. Boxed values are published by [caml_modify], which
+   orders the block's initialising stores before the pointer store. *)
+type 'a tvar = { mutable lock : int; mutable cell : 'a; uid : int }
+
+let[@inline] lock_of (tv : 'a tvar) : int Atomic.t = Obj.magic tv
+
+(* The read set logs tvars of every type; only the lock and the uid are
+   read through this view, never the cell. *)
+let[@inline] erase (tv : 'a tvar) : unit tvar = Obj.magic tv
 
 let tvar_uid = Atomic.make 0
-let tvar v = { lock = Atomic.make 0; cell = Atomic.make v; uid = Atomic.fetch_and_add tvar_uid 1 }
+let tvar v = { lock = 0; cell = v; uid = Atomic.fetch_and_add tvar_uid 1 }
 let tvar_id tv = tv.uid
 
 let locked word = word land 1 = 1
@@ -40,9 +71,8 @@ type txn = {
   mutable serial : bool;
   mutable serial_wv : int;
   mutable active : bool;
-  mutable r_locks : int Atomic.t array;
+  mutable r_tvs : unit tvar array;
   mutable r_words : int array;
-  mutable r_uids : int array;
   mutable rn : int;
   mutable wset : wentry array;
   mutable wn : int;
@@ -84,8 +114,8 @@ type 'a result = {
   serial : bool;
 }
 
-let dummy_lock = Atomic.make 0
-let dummy_wentry = W { tv = { lock = Atomic.make 0; cell = Atomic.make 0; uid = -1 }; v = 0 }
+let dummy_tv : unit tvar = { lock = 0; cell = (); uid = -1 }
+let dummy_wentry = W { tv = dummy_tv; v = () }
 let dummy_uentry = U { cell = { lv = 0 }; old = 0 }
 
 let max_threads = 128
@@ -127,9 +157,8 @@ let fresh_txn tid stats =
     serial = false;
     serial_wv = 0;
     active = false;
-    r_locks = Array.make 64 dummy_lock;
+    r_tvs = Array.make 64 dummy_tv;
     r_words = Array.make 64 0;
-    r_uids = Array.make 64 (-1);
     rn = 0;
     wset = Array.make 16 dummy_wentry;
     wn = 0;
@@ -256,22 +285,17 @@ let[@inline] uid_hash uid = uid * 0x9e3779b1
    line or two); past it, [windex] takes over. *)
 let windex_threshold = 8
 
-let[@inline] rset_push txn lock word uid =
-  if txn.rn = Array.length txn.r_locks then begin
+let[@inline] rset_push txn tv word =
+  if txn.rn = Array.length txn.r_tvs then begin
     let n = 2 * txn.rn in
-    let locks = Array.make n dummy_lock
-    and words = Array.make n 0
-    and uids = Array.make n (-1) in
-    Array.blit txn.r_locks 0 locks 0 txn.rn;
+    let tvs = Array.make n dummy_tv and words = Array.make n 0 in
+    Array.blit txn.r_tvs 0 tvs 0 txn.rn;
     Array.blit txn.r_words 0 words 0 txn.rn;
-    Array.blit txn.r_uids 0 uids 0 txn.rn;
-    txn.r_locks <- locks;
-    txn.r_words <- words;
-    txn.r_uids <- uids
+    txn.r_tvs <- tvs;
+    txn.r_words <- words
   end;
-  txn.r_locks.(txn.rn) <- lock;
+  txn.r_tvs.(txn.rn) <- tv;
   txn.r_words.(txn.rn) <- word;
-  txn.r_uids.(txn.rn) <- uid;
   txn.rn <- txn.rn + 1
 
 (* Slot of [tv] in the write set, or -1. Uids are unique per tvar, so the
@@ -361,13 +385,13 @@ let wset_put : type a. txn -> a tvar -> a -> unit =
     end
   end
 
-(* Whether [lock] belongs to a tvar in the write set — i.e. a lock the
-   committing transaction itself holds. [uid] is the read-set entry's
-   logged tvar uid, letting the lookup reuse the read path's Bloom filter
-   and uid index so commit validation stays O(rn) instead of O(rn * wn)
-   for large write sets; uids are unique per tvar, so a uid match implies
-   the lock identity matches. *)
-let wset_holds_lock txn lock uid =
+(* Whether read-set entry [tv] is in the write set — i.e. its lock is one
+   the committing transaction itself holds. The lookup reuses the read
+   path's Bloom filter and uid index so commit validation stays O(rn)
+   instead of O(rn * wn) for large write sets; uids are unique per tvar,
+   so a uid match is the tvar. *)
+let wset_holds_lock txn (tv : unit tvar) =
+  let uid = tv.uid in
   txn.wfilter land filter_bit uid <> 0
   &&
   if txn.windex != no_index then begin
@@ -378,8 +402,7 @@ let wset_holds_lock txn lock uid =
       | 0 -> false
       | s ->
           let (W e) = txn.wset.(s - 1) in
-          if e.tv.uid = uid then e.tv.lock == lock
-          else probe ((i + 1) land mask)
+          e.tv.uid = uid || probe ((i + 1) land mask)
     in
     probe (uid_hash uid land mask)
   end
@@ -388,7 +411,7 @@ let wset_holds_lock txn lock uid =
       if i >= txn.wn then false
       else
         let (W e) = txn.wset.(i) in
-        e.tv.lock == lock || go (i + 1)
+        Obj.repr e.tv == Obj.repr tv || go (i + 1)
     in
     go 0
 
@@ -432,7 +455,7 @@ let forget_locals txn =
 let reset_logs txn =
   (* Clear stored references so the GC can collect dead tvars. *)
   for i = 0 to txn.rn - 1 do
-    txn.r_locks.(i) <- dummy_lock
+    txn.r_tvs.(i) <- dummy_tv
   done;
   for i = 0 to txn.wn - 1 do
     txn.wset.(i) <- dummy_wentry
@@ -451,17 +474,17 @@ let reset_logs txn =
 
 (* ---- transactional operations ---- *)
 
-(* Whether entry [i] of the read set already logs [lock]. A same-lock
-   entry with a {e different} word is impossible for a live transaction —
-   any commit that changed the word after it was first logged carries
+(* Whether entry [i] of the read set already logs [tv]. A same-tvar entry
+   with a {e different} word is impossible for a live transaction — any
+   commit that changed the word after it was first logged carries
    [wv > rv] and would have failed this read's version check — so it is
    treated as the inconsistency it would be and aborts. *)
-let[@inline] rset_dup_at txn i lock word uid =
+let[@inline] rset_dup_at txn i tv word =
   i >= 0
-  && txn.r_locks.(i) == lock
+  && txn.r_tvs.(i) == tv
   && (txn.r_words.(i) = word
      ||
-     (txn.conflict_uid <- uid;
+     (txn.conflict_uid <- tv.uid;
       raise (Abort Read_invalid)))
 
 (* ---- timestamp extension (TinySTM/LSA-style) ----
@@ -484,7 +507,8 @@ let try_extend txn =
       Dst.point Dst.Tm_validate;
       let rec intact i =
         i >= txn.rn
-        || (Atomic.get txn.r_locks.(i) = txn.r_words.(i) && intact (i + 1))
+        || (Atomic.get (lock_of txn.r_tvs.(i)) = txn.r_words.(i)
+           && intact (i + 1))
       in
       intact 0
       && begin
@@ -502,7 +526,7 @@ let try_extend txn =
    collections. *)
 let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
   fun (type a) (txn : txn) (tv : a tvar) : a ->
-   let l1 = Atomic.get tv.lock in
+   let l1 = Atomic.get (lock_of tv) in
    if locked l1 then
      if txn.read_phase then begin
        (* Committers never spin while holding locks, so the writeback
@@ -518,8 +542,8 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
        raise (Abort Lock_busy)
      end
    else begin
-     let v = Atomic.get tv.cell in
-     let l2 = Atomic.get tv.lock in
+     let v = tv.cell in
+     let l2 = Atomic.get (lock_of tv) in
      if l1 <> l2 then
        (* A committer's writeback raced the seqlock pair; the word has
           settled into either locked or a newer version, both handled
@@ -543,11 +567,12 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
           per-location. (An exact Bloom-filtered dedup was measurably
           slower: its per-read hash-and-test overhead outweighed the
           saved entries on every single-domain configuration.) *)
+       let etv = erase tv in
        if
          not
-           (rset_dup_at txn (txn.rn - 1) tv.lock l1 tv.uid
-           || rset_dup_at txn (txn.rn - 2) tv.lock l1 tv.uid)
-       then rset_push txn tv.lock l1 tv.uid;
+           (rset_dup_at txn (txn.rn - 1) etv l1
+           || rset_dup_at txn (txn.rn - 2) etv l1)
+       then rset_push txn etv l1;
        (* The read has validated against [rv]; TxSan checks it against the
           slot's free/reservation shadow at exactly this point, so doomed
           reads that version checks already rejected are never reported. *)
@@ -558,7 +583,7 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
 
 let read (txn : txn) tv =
   if txn.serial then begin
-    let v = Atomic.get tv.cell in
+    let v = tv.cell in
     San.tm_read ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
     v
   end
@@ -585,9 +610,9 @@ let write (txn : txn) tv v =
        pairing the new value with an old version. *)
     Dst.point Dst.Tm_serial_write;
     San.tm_serial_write ~tid:txn.tid ~site:txn.site ~wv:txn.serial_wv tv.uid;
-    Atomic.set tv.lock ((txn.serial_wv lsl 1) lor 1);
-    Atomic.set tv.cell v;
-    Atomic.set tv.lock (txn.serial_wv lsl 1)
+    Atomic.set (lock_of tv) ((txn.serial_wv lsl 1) lor 1);
+    tv.cell <- v;
+    Atomic.set (lock_of tv) (txn.serial_wv lsl 1)
   end
   else begin
     San.tm_write ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
@@ -618,8 +643,8 @@ let run_defers (txn : txn) =
 let unlock_first_n txn n =
   for i = 0 to n - 1 do
     let (W e) = txn.wset.(i) in
-    let cur = Atomic.get e.tv.lock in
-    Atomic.set e.tv.lock (cur land lnot 1);
+    let lock = lock_of e.tv in
+    Atomic.set lock (Atomic.get lock land lnot 1);
     San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv:(-1) e.tv.uid
   done
 
@@ -633,8 +658,9 @@ let commit (txn : txn) =
     if txn.must_validate then begin
       Dst.point Dst.Tm_validate;
       for i = 0 to txn.rn - 1 do
-        if Atomic.get txn.r_locks.(i) <> txn.r_words.(i) then begin
-          txn.conflict_uid <- txn.r_uids.(i);
+        let tv = txn.r_tvs.(i) in
+        if Atomic.get (lock_of tv) <> txn.r_words.(i) then begin
+          txn.conflict_uid <- tv.uid;
           raise (Abort Read_invalid)
         end
       done
@@ -671,8 +697,9 @@ let commit (txn : txn) =
         if i < txn.wn then begin
           Dst.point Dst.Tm_lock;
           let (W e) = txn.wset.(i) in
-          let l = Atomic.get e.tv.lock in
-          if locked l || not (Atomic.compare_and_set e.tv.lock l (l lor 1))
+          let lock = lock_of e.tv in
+          let l = Atomic.get lock in
+          if locked l || not (Atomic.compare_and_set lock l (l lor 1))
           then begin
             unlock_first_n txn i;
             Atomic.set flag false;
@@ -692,17 +719,15 @@ let commit (txn : txn) =
         Dst.point Dst.Tm_validate;
         let rec validate i =
           if i < txn.rn then begin
-            let lock = txn.r_locks.(i) and word = txn.r_words.(i) in
-            let cur = Atomic.get lock in
+            let tv = txn.r_tvs.(i) and word = txn.r_words.(i) in
+            let cur = Atomic.get (lock_of tv) in
             let ok =
-              cur = word
-              || (cur = word lor 1
-                 && wset_holds_lock txn lock txn.r_uids.(i))
+              cur = word || (cur = word lor 1 && wset_holds_lock txn tv)
             in
             if not ok then begin
               unlock_first_n txn txn.wn;
               Atomic.set flag false;
-              txn.conflict_uid <- txn.r_uids.(i);
+              txn.conflict_uid <- tv.uid;
               raise (Abort Read_invalid)
             end;
             validate (i + 1)
@@ -713,12 +738,12 @@ let commit (txn : txn) =
       for i = 0 to txn.wn - 1 do
         Dst.point Dst.Tm_publish;
         let (W e) = txn.wset.(i) in
-        Atomic.set e.tv.cell e.v
+        e.tv.cell <- e.v
       done;
       Dst.point Dst.Tm_publish;
       for i = 0 to txn.wn - 1 do
         let (W e) = txn.wset.(i) in
-        Atomic.set e.tv.lock (wv lsl 1);
+        Atomic.set (lock_of e.tv) (wv lsl 1);
         San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv e.tv.uid
       done;
       Atomic.set flag false;
@@ -1018,7 +1043,7 @@ let current_txn () =
 
 let peek tv =
   let rec go () =
-    let l1 = Atomic.get tv.lock in
+    let l1 = Atomic.get (lock_of tv) in
     if locked l1 then begin
       (* Under DST the lock holder is a paused logical thread; yield so it
          can finish instead of spinning this domain forever. *)
@@ -1027,8 +1052,8 @@ let peek tv =
       go ()
     end
     else
-      let v = Atomic.get tv.cell in
-      let l2 = Atomic.get tv.lock in
+      let v = tv.cell in
+      let l2 = Atomic.get (lock_of tv) in
       if l1 <> l2 then go ()
       else begin
         San.nontxn_read tv.uid;
@@ -1040,9 +1065,9 @@ let peek tv =
 let poke tv v =
   San.nontxn_write tv.uid;
   let wv = Gclock.advance () in
-  Atomic.set tv.lock ((wv lsl 1) lor 1);
-  Atomic.set tv.cell v;
-  Atomic.set tv.lock (wv lsl 1)
+  Atomic.set (lock_of tv) ((wv lsl 1) lor 1);
+  tv.cell <- v;
+  Atomic.set (lock_of tv) (wv lsl 1)
 
 let clock () = Gclock.sample ()
 let txn_site (txn : txn) = txn.site

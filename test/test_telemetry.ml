@@ -227,6 +227,67 @@ let test_two_domain_conflict () =
           checkb "conflict attributed to v" true
             (List.mem_assoc (Tm.tvar_id v) e.Telemetry.Attribution.top_tvars)))
 
+(* Commit-time validation must attribute its abort to the tvar whose word
+   changed. A reads [u] and [v] (and, in the writing variant, writes [w]),
+   then waits while B commits a write to [v]; A reads nothing more, so the
+   conflict surfaces only when A's commit re-validates its read set. The
+   read-only variant reaches the same check through [validate_on_commit]. *)
+let commit_validation_conflict ~read_only () =
+  with_telemetry (fun () ->
+      let u = Tm.tvar 0 and v = Tm.tvar 0 and w = Tm.tvar 0 in
+      let a_read = Atomic.make false and b_wrote = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            Tm.Thread.with_registered (fun _ ->
+                while not (Atomic.get a_read) do
+                  Domain.cpu_relax ()
+                done;
+                Tm.atomic ~site:"test.writer" (fun txn -> Tm.write txn v 1);
+                Atomic.set b_wrote true))
+      in
+      with_tm (fun () ->
+          Tm.Stats.reset (Tm.Thread.stats ());
+          let attempts = ref 0 in
+          let r =
+            Tm.atomic_stamped ~site:"test.committer" (fun txn ->
+                incr attempts;
+                (* [u] is logged first, so attributing the abort to the
+                   first read-set entry instead of the changed one fails *)
+                let x = Tm.read txn u in
+                let x = x + Tm.read txn v in
+                if read_only then Tm.validate_on_commit txn
+                else Tm.write txn w x;
+                if !attempts = 1 then begin
+                  Atomic.set a_read true;
+                  while not (Atomic.get b_wrote) do
+                    Domain.cpu_relax ()
+                  done
+                end;
+                x)
+          in
+          Domain.join writer;
+          check "retry sees committed write" 1 r.Tm.value;
+          check "two attempts" 2 r.Tm.attempts;
+          checkb "read-only as asked" read_only r.Tm.read_only;
+          let st = Tm.Thread.stats () in
+          check "one read abort" 1 (Tm.Stats.aborts_read st);
+          check "no extension involved" 0 (Tm.Stats.ext_fails st);
+          let attr =
+            (Telemetry.Report.snapshot ()).Telemetry.Report.attribution
+          in
+          check "abort attributed to committer site" 1
+            (Telemetry.Attribution.count attr ~site:"test.committer"
+               ~cause:"read_invalid");
+          let e =
+            List.find
+              (fun e -> e.Telemetry.Attribution.site = "test.committer")
+              (Telemetry.Attribution.entries attr)
+          in
+          checkb "conflict attributed to v" true
+            (List.mem_assoc (Tm.tvar_id v) e.Telemetry.Attribution.top_tvars);
+          checkb "not to u" false
+            (List.mem_assoc (Tm.tvar_id u) e.Telemetry.Attribution.top_tvars)))
+
 (* Forced Lock_busy via the public white-box exception: the uid is unknown
    (-1) but the (site, cause) cell must still be recorded. *)
 let test_forced_lock_busy () =
@@ -341,6 +402,10 @@ let () =
             test_forced_read_invalid;
           Alcotest.test_case "two-domain conflict" `Quick
             test_two_domain_conflict;
+          Alcotest.test_case "commit validation conflict" `Quick
+            (commit_validation_conflict ~read_only:false);
+          Alcotest.test_case "validate-on-commit conflict" `Quick
+            (commit_validation_conflict ~read_only:true);
           Alcotest.test_case "forced lock_busy" `Quick test_forced_lock_busy;
           Alcotest.test_case "forced serial fallback" `Quick
             test_forced_serial_fallback;

@@ -179,6 +179,12 @@ let test_validate_on_commit () =
       check "plain read-only txn commits" 1 !attempts2;
       check "with the pre-poke snapshot" 99 seen2)
 
+(* A tvar is a single block: header, lock word, value, uid. A read loads
+   the lock and the value from that one block; boxing either again would
+   add a pointer chase to every read, so the layout is pinned here. *)
+let test_tvar_one_block () =
+  check "words per tvar" 4 (Obj.reachable_words (Obj.repr (Tm.tvar 0)))
+
 (* ---- timestamp extension and the read-phase hint ---- *)
 
 (* A stale read whose read set is still intact must be rescued: the poke
@@ -499,44 +505,72 @@ let test_concurrent_counter_serial_pressure () =
       check "no lost updates under heavy serial fallback" (4 * per_thread)
         (Tm.peek v))
 
-(* Bank invariant: concurrent random transfers keep the total constant and
-   every read-only snapshot observes the full total (opacity/consistency). *)
-let test_bank_invariant () =
+(* The bank invariant: 4 domains run random transfers and whole-bank
+   audits, and every audit must see the conserved total. Half the audits
+   are read-phase transactions, which wait out a locked word instead of
+   aborting, so they read values published moments earlier. [balance]
+   picks the value representation: immediates, or a fresh boxed block per
+   transfer published through the tvars' plain value fields, where
+   [whole] checks each block an audit read is fully initialised. *)
+let bank_invariant ~seed ~balance ~cents ~whole () =
   with_tm (fun () ->
       let n_accounts = 16 in
       let initial = 100 in
-      let accounts = Array.init n_accounts (fun _ -> Tm.tvar initial) in
+      let accounts =
+        Array.init n_accounts (fun _ -> Tm.tvar (balance initial))
+      in
       let total = n_accounts * initial in
-      let violations = Atomic.make 0 in
+      let violations = Atomic.make 0 and torn = Atomic.make 0 in
       let _ =
         spawn_workers 4 (fun i _tid ->
-            let rng = ref (i + 17) in
+            let rng = ref (i + seed) in
             let rand m =
               rng := (!rng * 1103515245) + 12345;
               !rng land 0x3FFFFFFF mod m
             in
+            let audits = ref 0 in
             for _ = 1 to 2500 do
               if rand 4 = 0 then begin
                 (* audit: snapshot the whole bank *)
-                let sum =
-                  Tm.atomic (fun txn ->
-                      Array.fold_left (fun a v -> a + Tm.read txn v) 0 accounts)
+                incr audits;
+                let sum, ok =
+                  Tm.atomic ~read_phase:(!audits land 1 = 0) (fun txn ->
+                      Array.fold_left
+                        (fun (sum, ok) v ->
+                          let b = Tm.read txn v in
+                          (sum + cents b, ok && whole b))
+                        (0, true) accounts)
                 in
-                if sum <> total then Atomic.incr violations
+                if sum <> total then Atomic.incr violations;
+                if not ok then Atomic.incr torn
               end
               else
                 let a = rand n_accounts and b = rand n_accounts in
                 let amt = rand 10 in
                 Tm.atomic (fun txn ->
-                    let va = Tm.read txn accounts.(a) in
-                    let vb = Tm.read txn accounts.(b) in
-                    Tm.write txn accounts.(a) (va - amt);
-                    Tm.write txn accounts.(b) (vb + amt))
+                    let va = cents (Tm.read txn accounts.(a)) in
+                    let vb = cents (Tm.read txn accounts.(b)) in
+                    Tm.write txn accounts.(a) (balance (va - amt));
+                    Tm.write txn accounts.(b) (balance (vb + amt)))
             done)
       in
       check "no inconsistent audit" 0 (Atomic.get violations);
-      let final = Array.fold_left (fun a v -> a + Tm.peek v) 0 accounts in
+      check "no torn balance" 0 (Atomic.get torn);
+      let final =
+        Array.fold_left (fun a v -> a + cents (Tm.peek v)) 0 accounts
+      in
       check "total conserved" total final)
+
+let test_bank_invariant =
+  bank_invariant ~seed:17 ~balance:Fun.id ~cents:Fun.id ~whole:(fun _ -> true)
+
+type balance = { cents : int; neg : int }
+
+let test_bank_invariant_boxed =
+  bank_invariant ~seed:41
+    ~balance:(fun c -> { cents = c; neg = -c })
+    ~cents:(fun b -> b.cents)
+    ~whole:(fun b -> b.neg = -b.cents)
 
 (* Regression for the serial-fallback snapshot race: with max_attempts=1
    every conflict escalates to a serial transaction, and read-only audits
@@ -715,6 +749,7 @@ let () =
           Alcotest.test_case "opaque snapshot" `Quick test_opaque_snapshot;
           Alcotest.test_case "validate-on-commit" `Quick
             test_validate_on_commit;
+          Alcotest.test_case "one block per tvar" `Quick test_tvar_one_block;
         ] );
       ( "extension",
         [
@@ -766,6 +801,8 @@ let () =
           Alcotest.test_case "counter (serial pressure)" `Quick
             test_concurrent_counter_serial_pressure;
           Alcotest.test_case "bank invariant" `Quick test_bank_invariant;
+          Alcotest.test_case "bank invariant (boxed balances)" `Quick
+            test_bank_invariant_boxed;
           Alcotest.test_case "bank invariant (serial pressure)" `Slow
             test_bank_invariant_serial_pressure;
           Alcotest.test_case "stamp uniqueness" `Quick test_stamp_uniqueness;
